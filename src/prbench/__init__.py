@@ -11,7 +11,6 @@ from .diagnostics import (
 from .errors import (
     CapabilityError,
     DegenerateSpectrumError,
-    DivergenceError,
     PowerIterationError,
 )
 from .model import (
@@ -40,14 +39,9 @@ from .solvers import (
     IterationTrace,
     Method,
     SolverParams,
-    SolverState,
     Status,
     default_params,
-    initial_state,
     run,
-    step_gd,
-    step_nesterov,
-    step_polyak,
     theory_params,
 )
 from .spectral import SpectralReport, leading_eigenpair, random_init, spectral_init
@@ -56,7 +50,6 @@ __all__ = [
     "CapabilityError",
     "ConcentrationReport",
     "DegenerateSpectrumError",
-    "DivergenceError",
     "GroundTruth",
     "IterationTrace",
     "LooBundle",
@@ -66,7 +59,6 @@ __all__ = [
     "RicConfig",
     "SensingEnsemble",
     "SolverParams",
-    "SolverState",
     "SpectralReport",
     "Status",
     "check_inc",
@@ -82,7 +74,6 @@ __all__ = [
     "hessian",
     "hessian_extremes",
     "hessian_vec",
-    "initial_state",
     "leading_eigenpair",
     "loo_run",
     "observe",
@@ -96,8 +87,5 @@ __all__ = [
     "spectral_init",
     "spectral_norm",
     "spectral_radius",
-    "step_gd",
-    "step_nesterov",
-    "step_polyak",
     "theory_params",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .solvers import Method, SolverParams, Status, default_params, momentum_step
+from .solvers import Method, Status, default_params, momentum_step, override_params
 from .spectral import leading_eigenpair
 
 _INIT_STREAM = rng.label_stream("cdp-power")
@@ -197,6 +197,7 @@ def cdp_run(
     equal to the pixel count and the norm measured in the operator's
     scale, sqrt(lambda1 / 3); the unitary-DFT rows have unit norm, so the
     physical signal norm would misstate the curvature by a factor of n.
+    The `eta` and `beta` overrides follow `solvers.override_params`.
     """
     image = np.asarray(image, dtype=float)
     n = image.size
@@ -209,11 +210,8 @@ def cdp_run(
     init = cdp_spectral_init(masks, y)
     z0 = init.z0
 
-    defaults = default_params(n, math.sqrt(init.lambda1 / 3.0), method)
-    params = SolverParams(
-        method=method,
-        eta=defaults.eta if eta is None else eta,
-        beta=defaults.beta if beta is None else beta,
+    params = override_params(
+        default_params(n, math.sqrt(init.lambda1 / 3.0), method), eta, beta,
         max_iters=iters,
     )
     grad_fn = lambda z: cdp_gradient(z, y, masks)

@@ -1,7 +1,8 @@
 """Command line front-end: prbench <subcommand> --config <path> [--key value ...].
 
 Exit codes: 0 on success, 1 when an output carries a failed pass flag,
-2 on usage or I/O errors.
+2 on usage, input-range, capability or I/O errors (one `prbench: ...` line
+on stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import dataclasses
 import sys
 
+from .errors import CapabilityError, DegenerateSpectrumError, PowerIterationError
 from .harness import COMMANDS, ExperimentConfig, apply_overrides, load_config, validate_config
 
 
@@ -49,15 +51,10 @@ def main(argv=None) -> int:
         cfg = apply_overrides(cfg, overrides)
         cfg = dataclasses.replace(cfg, experiment=args.command)
         validate_config(cfg)
-    except (ValueError, OSError) as exc:
-        print(f"prbench: {exc}", file=sys.stderr)
-        return 2
-    try:
         return COMMANDS[args.command](cfg)
-    except OSError as exc:
-        print(f"prbench: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (
+        ValueError, OSError, CapabilityError, PowerIterationError, DegenerateSpectrumError,
+    ) as exc:
         print(f"prbench: {exc}", file=sys.stderr)
         return 2
 

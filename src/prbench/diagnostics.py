@@ -28,8 +28,8 @@ class LooBundle:
     `dist_main[l, t]` is ||x^t - x^{t,(l)}||, `dist_star[l, t]` is
     ||x^{t,(l)} - s x_star|| with the main run's sign alignment, and
     `proximity[t]` is the max over l of the stacked-pair norm
-    ||(x^t - x^{t,(l)}, x^{t-1} - x^{t-1,(l)})||.  Full iterate sequences
-    are retained only on request (they are large).
+    ||(x^t - x^{t,(l)}, x^{t-1} - x^{t-1,(l)})||.  The iterate sequences
+    themselves are not kept; `loo_sequence` regenerates any one of them.
     """
 
     dist_main: np.ndarray
@@ -37,7 +37,6 @@ class LooBundle:
     proximity: np.ndarray
     threshold: float
     within_threshold: bool
-    sequences: np.ndarray | None = None
 
 
 def loo_threshold(n: int, cfg: RicConfig) -> float:
@@ -88,7 +87,6 @@ def loo_run(
     cfg: RicConfig | None = None,
     budget_m: int = 256,
     budget_iters: int = 500,
-    retain_sequences: bool = False,
 ) -> LooBundle:
     """Run the m leave-one-out sequences next to the main sequence.
 
@@ -119,14 +117,11 @@ def loo_run(
     m = ens.m
     dist_main = np.zeros((m, steps + 1))
     dist_star = np.zeros((m, steps + 1))
-    sequences = np.zeros((m, steps + 1, ens.n)) if retain_sequences else None
 
     for ell in range(m):
         seq = loo_sequence(ens, y, x0, params, ell, steps)
         dist_main[ell] = np.linalg.norm(history - seq, axis=1)
         dist_star[ell] = np.linalg.norm(seq - target, axis=1)
-        if retain_sequences:
-            sequences[ell] = seq
 
     proximity = np.zeros(steps + 1)
     if steps >= 1:
@@ -139,7 +134,6 @@ def loo_run(
         proximity=proximity,
         threshold=threshold,
         within_threshold=within,
-        sequences=sequences,
     )
 
 

@@ -5,10 +5,6 @@ class CapabilityError(RuntimeError):
     """Requested operation exceeds a configured size or budget limit."""
 
 
-class DivergenceError(RuntimeError):
-    """A solver step produced a non-finite iterate."""
-
-
 class PowerIterationError(RuntimeError):
     """Power iteration failed to converge; carries the last residual."""
 

@@ -25,9 +25,9 @@ from .ric import RicConfig
 from .solvers import (
     IterationTrace,
     Method,
-    SolverParams,
     Status,
     default_params,
+    override_params,
     run,
     theory_params,
 )
@@ -159,6 +159,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         Method(m)
     if cfg.init not in ("spectral", "random"):
         raise ValueError(f"init must be spectral or random, got {cfg.init!r}")
+    for seed in cfg.seed_list:
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seeds must lie in [0, 2**64), got {seed}")
+    if not cfg.kappa >= 1:
+        raise ValueError(f"kappa must be at least 1, got {cfg.kappa}")
 
 
 def theory_m(n: int, c: float = 10.0) -> int:
@@ -188,17 +193,6 @@ def _write_csv(path, header, rows, comments=()):
         raise OSError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _solver_params(cfg: ExperimentConfig, n: int, norm_x0: float, method) -> SolverParams:
-    base = default_params(n, norm_x0, Method(method))
-    return SolverParams(
-        method=base.method,
-        eta=base.eta if cfg.eta is None else cfg.eta,
-        beta=base.beta if cfg.beta is None else (0.0 if base.method is Method.GD else cfg.beta),
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
-    )
-
-
 def _problem(cfg: ExperimentConfig, n: int, m: int, seed: int):
     ens = sample_ensemble(m, n, seed)
     gt = random_ground_truth(n, seed)
@@ -212,7 +206,10 @@ def _problem(cfg: ExperimentConfig, n: int, m: int, seed: int):
 
 def _single_run(cfg: ExperimentConfig, n: int, m: int, seed: int, method) -> IterationTrace:
     ens, gt, y, x0 = _problem(cfg, n, m, seed)
-    params = _solver_params(cfg, n, float(np.linalg.norm(x0)), method)
+    params = override_params(
+        default_params(n, float(np.linalg.norm(x0)), method), cfg.eta, cfg.beta,
+        max_iters=cfg.max_iters, tol=cfg.tol,
+    )
     return run(ens, y, x0, params, gt=gt, ric=cfg.ric())
 
 
@@ -257,22 +254,19 @@ def _paired_slope(log_a, log_b) -> float:
 def headtohead_slope(cfg: ExperimentConfig, n: int, m: int, seed: int):
     """Run methods a and b from the same start; returns (rows, slope, statuses).
 
-    The accelerated arm uses the rate-analysis momentum by default, the
-    `beta` override wins when given.
+    Both arms use the rate-analysis defaults under the eta and beta
+    overrides of `solvers.override_params`.
     """
     ens, gt, y, x0 = _problem(cfg, n, m, seed)
     norm_x0 = float(np.linalg.norm(x0))
-
-    def params_for(method):
-        method = Method(method)
-        base = theory_params(n, norm_x0, method)
-        eta = base.eta if cfg.eta is None else cfg.eta
-        beta = base.beta if cfg.beta is None else (0.0 if method is Method.GD else cfg.beta)
-        return SolverParams(method=method, eta=eta, beta=beta,
-                            max_iters=cfg.max_iters, tol=cfg.tol)
-
-    trace_a = run(ens, y, x0, params_for(cfg.method_a), gt=gt, ric=cfg.ric())
-    trace_b = run(ens, y, x0, params_for(cfg.method_b), gt=gt, ric=cfg.ric())
+    traces = []
+    for method in (cfg.method_a, cfg.method_b):
+        params = override_params(
+            theory_params(n, norm_x0, method), cfg.eta, cfg.beta,
+            max_iters=cfg.max_iters, tol=cfg.tol,
+        )
+        traces.append(run(ens, y, x0, params, gt=gt, ric=cfg.ric()))
+    trace_a, trace_b = traces
     statuses = (trace_a.status, trace_b.status)
     if not (trace_a.converged and trace_b.converged):
         return [], math.nan, statuses
@@ -367,9 +361,9 @@ def cmd_loo(cfg: ExperimentConfig) -> int:
     m = cfg.m_list[0] if cfg.m_list else theory_m(n)
     method = cfg.methods[0]
     ens, gt, y, x0 = _problem(cfg, n, m, seed)
-    params = _solver_params(cfg, n, float(np.linalg.norm(x0)), method)
-    params = dataclasses.replace(
-        params, max_iters=min(params.max_iters, cfg.loo_budget_iters)
+    params = override_params(
+        default_params(n, float(np.linalg.norm(x0)), method), cfg.eta, cfg.beta,
+        max_iters=min(cfg.max_iters, cfg.loo_budget_iters), tol=cfg.tol,
     )
     bundle = loo_run(
         ens, y, x0, params, gt,

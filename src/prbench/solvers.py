@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError
 from .model import GroundTruth, SensingEnsemble, align_sign
 from .objective import gradient_kernel
 from .ric import RicConfig, inc_bound, loc_radius
@@ -34,6 +33,10 @@ class Status(str, enum.Enum):
     DIVERGED = "diverged"
 
 
+# a cost above this (or a non-finite one) ends a run as diverged
+DIVERGENCE_CAP = 1e8
+
+
 @dataclass(frozen=True)
 class SolverParams:
     method: Method
@@ -41,7 +44,6 @@ class SolverParams:
     beta: float = 0.0
     max_iters: int = 10_000
     tol: float = 1e-7
-    divergence_cap: float = 1e8
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -52,15 +54,8 @@ class SolverParams:
             raise ValueError("gradient descent requires beta = 0")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.tol <= 0 or self.divergence_cap <= 0:
-            raise ValueError("tol and divergence_cap must be positive")
-
-
-@dataclass(frozen=True)
-class SolverState:
-    x_curr: np.ndarray
-    x_prev: np.ndarray
-    t: int
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,12 +97,6 @@ class IterationTrace:
         return self.status is Status.CONVERGED
 
 
-def initial_state(x0) -> SolverState:
-    """Cold-start state with x_curr == x_prev (the x^1 = x^0 convention)."""
-    x0 = np.asarray(x0, dtype=float)
-    return SolverState(x_curr=x0, x_prev=x0, t=1)
-
-
 def momentum_step(
     method: Method,
     x_curr: np.ndarray,
@@ -127,33 +116,6 @@ def momentum_step(
         g = grad_fn(x_curr) if grad_at_curr is None else grad_at_curr
         return x_curr - eta * g + mom
     return x_curr - eta * grad_fn(x_curr + mom) + mom
-
-
-def _checked_step(state, ens, y, eta, beta, method) -> SolverState:
-    y = np.asarray(y, dtype=float)
-    grad_fn = lambda x: gradient_kernel(ens.rows, y, x, ens.m)
-    # overflow to inf is the divergence signal, not an anomaly
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_new = momentum_step(method, state.x_curr, state.x_prev, grad_fn, eta, beta)
-    if not np.all(np.isfinite(x_new)):
-        raise DivergenceError(f"non-finite iterate at t={state.t + 1}")
-    return SolverState(x_curr=x_new, x_prev=state.x_curr, t=state.t + 1)
-
-
-def step_gd(state: SolverState, ens: SensingEnsemble, y, eta: float) -> SolverState:
-    return _checked_step(state, ens, y, eta, 0.0, Method.GD)
-
-
-def step_polyak(
-    state: SolverState, ens: SensingEnsemble, y, eta: float, beta: float
-) -> SolverState:
-    return _checked_step(state, ens, y, eta, beta, Method.POLYAK)
-
-
-def step_nesterov(
-    state: SolverState, ens: SensingEnsemble, y, eta: float, beta: float
-) -> SolverState:
-    return _checked_step(state, ens, y, eta, beta, Method.NESTEROV)
 
 
 def momentum_beta(mu: float, ell: float) -> float:
@@ -184,6 +146,19 @@ def theory_params(n: int, norm_x0: float, method: Method, c: float = 1.0) -> Sol
     return replace(base, beta=momentum_beta(0.5, c * math.log(n)))
 
 
+def override_params(
+    base: SolverParams, eta: float | None, beta: float | None, **changes
+) -> SolverParams:
+    """`base` with the user's eta and beta overrides and any other field
+    `changes` applied.  An eta override always wins; a beta override wins
+    except for gradient descent, which keeps beta = 0."""
+    if eta is not None:
+        changes["eta"] = eta
+    if beta is not None and base.method is not Method.GD:
+        changes["beta"] = beta
+    return replace(base, **changes)
+
+
 def run(
     ens: SensingEnsemble,
     y,
@@ -197,8 +172,8 @@ def run(
 
     Stops when dist <= tol (ground truth given) or ||grad|| <= tol
     (otherwise), when max_iters is exhausted, or on divergence (cost above
-    the cap or a non-finite iterate); divergence is a status, never an
-    exception.
+    DIVERGENCE_CAP or a non-finite iterate); divergence is a status, never
+    an exception.
     """
     y = np.asarray(y, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -218,83 +193,76 @@ def run(
         sign = align_sign(x0, gt.x_star)
         target = sign * gt.x_star
         target_proj = rows @ target
-        radius = loc_radius(gt, ric)
-        bound = inc_bound(ens.n, gt, ric) if ens.n >= 2 else np.inf
     else:
         sign = 1.0
-        target = None
 
-    cols = {name: [] for name in (
-        "dist", "cost", "grad_norm", "max_incoherence", "loc_ok", "inc_ok",
-        "paired_norm",
-    )}
+    # per iterate, only the columns that need the iterate itself; the flags
+    # and pair columns are derived from them after the loop
+    cost, grad_norm, dist, max_inc = [], [], [], []
     history = [x0] if keep_history else None
-
-    def record(x, x_before, proj, cost_value, grad_value):
-        cols["cost"].append(cost_value)
-        cols["grad_norm"].append(float(np.linalg.norm(grad_value)))
-        if target is None:
-            cols["dist"].append(np.nan)
-            cols["max_incoherence"].append(np.nan)
-            cols["loc_ok"].append(False)
-            cols["inc_ok"].append(False)
-            cols["paired_norm"].append(np.nan)
-            return np.nan
-        d = float(np.linalg.norm(x - target))
-        inc = float(np.max(np.abs(proj - target_proj)))
-        cols["dist"].append(d)
-        cols["max_incoherence"].append(inc)
-        cols["loc_ok"].append(d <= radius)
-        cols["inc_ok"].append(inc <= bound)
-        d_prev = float(np.linalg.norm(x_before - target))
-        cols["paired_norm"].append(math.hypot(d, d_prev))
-        return min(d, float(np.linalg.norm(x + target)))
-
-    state = initial_state(x0)
+    x_curr = x_prev = x0
     status = Status.MAX_ITERS
     t = 0
     # overflow to inf inside a diverging run is the expected signal
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             # one pass of projections feeds cost, gradient, and incoherence
-            proj = rows @ state.x_curr
+            proj = rows @ x_curr
             resid = proj * proj - y
             cost_value = float(resid @ resid) / (4.0 * ens.m)
             grad_value = rows.T @ (resid * proj) / ens.m
-            d = record(state.x_curr, state.x_prev, proj, cost_value, grad_value)
-            stop_metric = d if target is not None else cols["grad_norm"][-1]
-            if not math.isfinite(cost_value) or cost_value > params.divergence_cap:
+            cost.append(cost_value)
+            grad_norm.append(float(np.linalg.norm(grad_value)))
+            if gt is None:
+                stop_metric = grad_norm[-1]
+            else:
+                dist.append(float(np.linalg.norm(x_curr - target)))
+                max_inc.append(float(np.max(np.abs(proj - target_proj))))
+                stop_metric = min(dist[-1], float(np.linalg.norm(x_curr + target)))
+            if not math.isfinite(cost_value) or cost_value > DIVERGENCE_CAP:
                 status = Status.DIVERGED
                 break
             if stop_metric <= params.tol:
                 status = Status.CONVERGED
                 break
             if t >= params.max_iters:
-                status = Status.MAX_ITERS
                 break
             x_new = momentum_step(
-                params.method, state.x_curr, state.x_prev, grad_fn,
+                params.method, x_curr, x_prev, grad_fn,
                 params.eta, params.beta, grad_at_curr=grad_value,
             )
             if not np.all(np.isfinite(x_new)):
                 status = Status.DIVERGED
                 break
-            state = SolverState(x_curr=x_new, x_prev=state.x_curr, t=state.t + 1)
+            x_prev, x_curr = x_curr, x_new
             if keep_history:
                 history.append(x_new)
             t += 1
 
-    paired = np.asarray(cols["paired_norm"], dtype=float)
+    rows_out = len(cost)
+    if gt is None:
+        dist = np.full(rows_out, np.nan)
+        max_inc = np.full(rows_out, np.nan)
+        loc_ok = np.zeros(rows_out, dtype=bool)
+        inc_ok = np.zeros(rows_out, dtype=bool)
+        paired = np.full(rows_out, np.nan)
+    else:
+        # math.hypot, not np.hypot: the two differ in the last bit
+        paired = np.array([math.hypot(d, d_prev) for d, d_prev in zip(dist, dist[:1] + dist)])
+        dist = np.asarray(dist, dtype=float)
+        max_inc = np.asarray(max_inc, dtype=float)
+        loc_ok = dist <= loc_radius(gt, ric)
+        inc_ok = max_inc <= (inc_bound(ens.n, gt, ric) if ens.n >= 2 else np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.concatenate([[np.nan], paired[1:] / paired[:-1]])
     return IterationTrace(
-        iters=np.arange(len(paired)),
-        dist=np.asarray(cols["dist"], dtype=float),
-        cost=np.asarray(cols["cost"], dtype=float),
-        grad_norm=np.asarray(cols["grad_norm"], dtype=float),
-        max_incoherence=np.asarray(cols["max_incoherence"], dtype=float),
-        loc_ok=np.asarray(cols["loc_ok"], dtype=bool),
-        inc_ok=np.asarray(cols["inc_ok"], dtype=bool),
+        iters=np.arange(rows_out),
+        dist=dist,
+        cost=np.asarray(cost, dtype=float),
+        grad_norm=np.asarray(grad_norm, dtype=float),
+        max_incoherence=max_inc,
+        loc_ok=loc_ok,
+        inc_ok=inc_ok,
         paired_norm=paired,
         contraction_ratio=ratio,
         status=status,

@@ -125,19 +125,21 @@ class TestLooRun:
         assert np.isnan(other[-1]).all()
 
     def test_proximity_matches_sequences(self):
-        bundle = pb.loo_run(
-            self.ens, self.y, self.x0, self.params, self.gt, retain_sequences=True
-        )
+        bundle = pb.loo_run(self.ens, self.y, self.x0, self.params, self.gt)
         trace = pb.run(
             self.ens, self.y, self.x0, self.params, gt=self.gt, keep_history=True
         )
         t = bundle.proximity.shape[0] - 1
+        sequences = [
+            loo_sequence(self.ens, self.y, self.x0, self.params, ell, t)
+            for ell in range(self.m)
+        ]
         by_hand = max(
             math.hypot(
-                np.linalg.norm(trace.history[t] - bundle.sequences[ell, t]),
-                np.linalg.norm(trace.history[t - 1] - bundle.sequences[ell, t - 1]),
+                np.linalg.norm(trace.history[t] - seq[t]),
+                np.linalg.norm(trace.history[t - 1] - seq[t - 1]),
             )
-            for ell in range(self.m)
+            for seq in sequences
         )
         assert bundle.proximity[t] == pytest.approx(by_hand, rel=1e-12)
 

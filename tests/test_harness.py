@@ -1,6 +1,11 @@
+import contextlib
+import io
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prbench import cli, harness
 from prbench.harness import (
@@ -269,3 +274,66 @@ class TestCli:
             "--methods", "polyak", "--max_iters", "60", "--out", str(out),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["loo", "--n_list", "20", "--m_list", "300"],
+        ["loo", "--n_list", "16", "--m_list", "32", "--loo_budget_m", "-1"],
+    ])
+    def test_capability_error_exits_two(self, tmp_path, capsys, argv):
+        code = cli.main(argv + ["--out", str(tmp_path / "loo.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("prbench: leave-one-out budget")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed_list", "-1"],
+        ["run", "--seed_list", "18446744073709551616"],
+        ["oracle", "--kappa", "0"],
+    ])
+    def test_out_of_range_input_exits_two(self, tmp_path, capsys, argv):
+        code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("prbench: ")
+
+    def test_cdp_gd_keeps_zero_beta_under_override(self, tmp_path):
+        common = ["cdp", "--methods", "gd,polyak", "--cdp_size", "8",
+                  "--mask_count", "4", "--cdp_iters", "5"]
+        assert cli.main(common + ["--out", str(tmp_path / "plain")]) in (0, 1)
+        assert cli.main(common + ["--beta", "0.3", "--out", str(tmp_path / "beta")]) in (0, 1)
+
+        def gd_rows(out):
+            lines = (out / "errors.csv").read_text().splitlines()
+            return [line for line in lines if line.startswith("gd,")]
+
+        assert gd_rows(tmp_path / "beta")
+        assert gd_rows(tmp_path / "beta") == gd_rows(tmp_path / "plain")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["run", "loo", "oracle", "concentration"]),
+    n=st.integers(1, 8),
+    m=st.integers(1, 30),
+    max_iters=st.integers(0, 30),
+    oracle_steps=st.integers(0, 50),
+    seed=st.integers(-2, 2**64),
+    kappa=st.integers(-1, 200),
+    method=st.sampled_from(["gd", "polyak", "nesterov"]),
+    init=st.sampled_from(["spectral", "random"]),
+)
+def test_cli_fuzz_exit_contract(command, n, m, max_iters, oracle_steps, seed, kappa,
+                                method, init):
+    # every input ends in exit 0, 1 or 2; an escaping exception fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [
+            command, "--n_list", str(n), "--m_list", str(m),
+            "--max_iters", str(max_iters), "--oracle_steps", str(oracle_steps),
+            "--seed_list", str(seed), "--kappa", str(kappa), "--methods", method,
+            "--init", init, "--out", os.path.join(tmp, "out.csv"),
+        ]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import prbench as pb
-from prbench.errors import DivergenceError
-from prbench.solvers import Method, Status, initial_state, momentum_step
+from prbench.solvers import Method, Status, momentum_step, override_params
 
 from conftest import make_problem
 
@@ -38,58 +37,46 @@ def tiny_problem():
     return ens, np.array([1.0])
 
 
+def grad_of(ens, y):
+    return lambda x: pb.gradient(ens, y, x)
+
+
 class TestSteps:
+    """The single update `momentum_step`, on its own and as `run` takes it."""
+
     def test_gd_single_coordinate(self):
         # gradient at x=2 is 6, so x moves to 2 - 0.1 * 6 = 1.4
         ens, y = tiny_problem()
-        state = initial_state(np.array([2.0]))
-        out = pb.step_gd(state, ens, y, eta=0.1)
-        assert out.x_curr == pytest.approx([1.4])
-        assert np.array_equal(out.x_prev, [2.0])
-        assert out.t == 2
+        params = pb.SolverParams(method=Method.GD, eta=0.1, max_iters=1)
+        trace = pb.run(ens, y, np.array([2.0]), params, keep_history=True)
+        assert trace.history[1] == pytest.approx([1.4])
+        assert np.array_equal(trace.history[0], [2.0])
 
     def test_stationary_point(self, small_problem):
         ens, gt, y, _ = small_problem
-        state = initial_state(gt.x_star)
-        out = pb.step_gd(state, ens, y, eta=0.1)
-        assert np.array_equal(out.x_curr, gt.x_star)
+        out = momentum_step(Method.GD, gt.x_star, gt.x_star, grad_of(ens, y), 0.1, 0.0)
+        assert np.array_equal(out, gt.x_star)
 
     def test_polyak_beta_zero_is_gd(self, small_problem):
         ens, _, y, x0 = small_problem
-        state = initial_state(x0)
-        gd = pb.step_gd(state, ens, y, eta=0.02)
-        hb = pb.step_polyak(state, ens, y, eta=0.02, beta=0.0)
-        assert np.array_equal(gd.x_curr, hb.x_curr)
-
-    def test_cold_start_all_methods_equal_gd(self, small_problem):
-        # x_curr == x_prev kills the momentum and the extrapolation
-        ens, _, y, x0 = small_problem
-        state = initial_state(x0)
-        gd = pb.step_gd(state, ens, y, eta=0.02)
-        hb = pb.step_polyak(state, ens, y, eta=0.02, beta=0.7)
-        nag = pb.step_nesterov(state, ens, y, eta=0.02, beta=0.7)
-        assert np.array_equal(gd.x_curr, hb.x_curr)
-        assert np.array_equal(gd.x_curr, nag.x_curr)
+        grad_fn = grad_of(ens, y)
+        gd = momentum_step(Method.GD, x0, 0.9 * x0, grad_fn, 0.02, 0.0)
+        hb = momentum_step(Method.POLYAK, x0, 0.9 * x0, grad_fn, 0.02, 0.0)
+        assert np.array_equal(gd, hb)
 
     def test_momentum_direction(self, small_problem):
         ens, _, y, x0 = small_problem
-        moved = pb.SolverState(x_curr=x0, x_prev=0.9 * x0, t=2)
-        gd = pb.step_gd(moved, ens, y, eta=0.02)
-        hb = pb.step_polyak(moved, ens, y, eta=0.02, beta=0.5)
-        assert np.allclose(hb.x_curr - gd.x_curr, 0.5 * (x0 - 0.9 * x0))
+        grad_fn = grad_of(ens, y)
+        gd = momentum_step(Method.GD, x0, 0.9 * x0, grad_fn, 0.02, 0.0)
+        hb = momentum_step(Method.POLYAK, x0, 0.9 * x0, grad_fn, 0.02, 0.5)
+        assert np.allclose(hb - gd, 0.5 * (x0 - 0.9 * x0))
 
     def test_nesterov_beta_zero_is_gd(self, small_problem):
         ens, _, y, x0 = small_problem
-        moved = pb.SolverState(x_curr=x0, x_prev=0.9 * x0, t=2)
-        gd = pb.step_gd(moved, ens, y, eta=0.02)
-        nag = pb.step_nesterov(moved, ens, y, eta=0.02, beta=0.0)
-        assert np.array_equal(gd.x_curr, nag.x_curr)
-
-    def test_divergence_error(self):
-        ens, y = tiny_problem()
-        state = initial_state(np.array([1e200]))
-        with pytest.raises(DivergenceError):
-            pb.step_gd(state, ens, y, eta=1.0)
+        grad_fn = grad_of(ens, y)
+        gd = momentum_step(Method.GD, x0, 0.9 * x0, grad_fn, 0.02, 0.0)
+        nag = momentum_step(Method.NESTEROV, x0, 0.9 * x0, grad_fn, 0.02, 0.0)
+        assert np.array_equal(gd, nag)
 
 
 class TestScalarRecursionRates:
@@ -164,6 +151,15 @@ class TestDefaultParams:
         assert thy.beta > exp.beta
         assert thy.eta == exp.eta
 
+    def test_override_rule(self):
+        base = pb.default_params(64, 1.0, Method.POLYAK)
+        assert override_params(base, None, None) == base
+        both = override_params(base, 0.01, 0.3, max_iters=7)
+        assert (both.eta, both.beta, both.max_iters) == (0.01, 0.3, 7)
+        # gradient descent keeps beta = 0 under a beta override
+        gd = override_params(pb.default_params(64, 1.0, Method.GD), 0.01, 0.3)
+        assert (gd.eta, gd.beta) == (0.01, 0.0)
+
 
 class TestSolverParamsValidation:
     def test_gd_requires_zero_beta(self):
@@ -231,6 +227,14 @@ class TestRun:
         trace = pb.run(ens, y, x0, params, gt=gt)
         assert trace.status is Status.DIVERGED
 
+    def test_overflowing_step_diverges(self):
+        # the first step overflows to -inf; the run stops after one row
+        ens, y = tiny_problem()
+        params = pb.SolverParams(method=Method.GD, eta=1e308)
+        trace = pb.run(ens, y, np.array([2.0]), params)
+        assert trace.status is Status.DIVERGED
+        assert trace.iters.shape[0] == 1
+
     def test_max_iters_status(self):
         ens, gt, y, x0 = make_problem(8, 160, 1)
         params = pb.SolverParams(method=Method.GD, eta=1e-6, max_iters=5)
@@ -250,8 +254,7 @@ class TestRun:
     def test_cold_start_first_step_matches_gd_step(self, small_problem):
         ens, _, y, x0 = small_problem
         eta = 0.01
-        expected = momentum_step(Method.GD, x0, x0,
-                                 lambda x: pb.gradient(ens, y, x), eta, 0.0)
+        expected = momentum_step(Method.GD, x0, x0, grad_of(ens, y), eta, 0.0)
         for method, beta in ((Method.GD, 0.0), (Method.POLYAK, 0.6), (Method.NESTEROV, 0.6)):
             params = pb.SolverParams(method=method, eta=eta, beta=beta, max_iters=1)
             trace = pb.run(ens, y, x0, params, keep_history=True)
