@@ -31,9 +31,6 @@ from .ric import (
     check_loc,
     contraction_matrix_hb,
     contraction_matrix_nag,
-    segment_in_ric,
-    spectral_norm,
-    spectral_radius,
 )
 from .solvers import (
     IterationTrace,
@@ -83,9 +80,6 @@ __all__ = [
     "run",
     "sample_ensemble",
     "sample_unit_sphere",
-    "segment_in_ric",
     "spectral_init",
-    "spectral_norm",
-    "spectral_radius",
     "theory_params",
 ]

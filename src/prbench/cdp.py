@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng
 from .solvers import Method, Status, default_params, momentum_step, override_params
-from .spectral import leading_eigenpair
+from .spectral import SpectralReport, leading_eigenpair
 
 _INIT_STREAM = rng.label_stream("cdp-power")
 
@@ -33,18 +33,6 @@ def fft_call_count() -> int:
 def reset_fft_call_count() -> None:
     global _fft_calls
     _fft_calls = 0
-
-
-def _unitary_fft(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    global _fft_calls
-    _fft_calls += 1
-    return np.fft.fftn(block.reshape(shape), norm="ortho").ravel()
-
-
-def _unitary_ifft(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    global _fft_calls
-    _fft_calls += 1
-    return np.fft.ifftn(block.reshape(shape), norm="ortho").ravel()
 
 
 @dataclass(frozen=True)
@@ -79,16 +67,35 @@ def sample_masks(shape, L: int, seed: int) -> CdpMasks:
     return CdpMasks(masks=masks, shape=shape, L=L, seed=seed)
 
 
+def _forward(z: np.ndarray, masks: CdpMasks) -> np.ndarray:
+    """The L blocks DFT(d_l * z) as an (L, n) array; L counted FFTs."""
+    global _fft_calls
+    out = np.empty((masks.L, masks.n), dtype=complex)
+    for ell in range(masks.L):
+        _fft_calls += 1
+        block = (masks.masks[ell] * z).reshape(masks.shape)
+        out[ell] = np.fft.fftn(block, norm="ortho").ravel()
+    return out
+
+
+def _adjoint(w: np.ndarray, masks: CdpMasks) -> np.ndarray:
+    """sum_l conj(d_l) * IDFT(w_l) over the rows of an (L, n) array, summed in
+    mask order; L counted inverse FFTs."""
+    global _fft_calls
+    out = np.zeros(masks.n, dtype=complex)
+    for ell in range(masks.L):
+        _fft_calls += 1
+        block = np.fft.ifftn(w[ell].reshape(masks.shape), norm="ortho").ravel()
+        out += np.conj(masks.masks[ell]) * block
+    return out
+
+
 def cdp_observe(z, masks: CdpMasks) -> np.ndarray:
     """Squared magnitudes |DFT(d_l * z)|^2 stacked into a length L*n vector."""
     z = np.asarray(z, dtype=complex).ravel()
     if z.shape[0] != masks.n:
         raise ValueError(f"signal has length {z.shape[0]}, expected {masks.n}")
-    out = np.empty(masks.L * masks.n)
-    for ell in range(masks.L):
-        w = _unitary_fft(masks.masks[ell] * z, masks.shape)
-        out[ell * masks.n:(ell + 1) * masks.n] = np.abs(w) ** 2
-    return out
+    return (np.abs(_forward(z, masks)) ** 2).ravel()
 
 
 def cdp_gradient(z, y, masks: CdpMasks) -> np.ndarray:
@@ -100,26 +107,15 @@ def cdp_gradient(z, y, masks: CdpMasks) -> np.ndarray:
         raise ValueError(f"signal has length {z.shape[0]}, expected {n}")
     if y.shape != (L * n,):
         raise ValueError(f"observations have shape {y.shape}, expected ({L * n},)")
-    grad = np.zeros(n, dtype=complex)
-    for ell in range(L):
-        w = _unitary_fft(masks.masks[ell] * z, masks.shape)
-        r = (np.abs(w) ** 2 - y[ell * n:(ell + 1) * n]) * w
-        grad += np.conj(masks.masks[ell]) * _unitary_ifft(r, masks.shape)
-    return grad / (L * n)
-
-
-@dataclass(frozen=True)
-class CdpSpectralReport:
-    z0: np.ndarray
-    lambda1: float
-    power_iters_used: int
-    residual: float
+    w = _forward(z, masks)
+    return _adjoint((np.abs(w) ** 2 - y.reshape(L, n)) * w, masks) / (L * n)
 
 
 def cdp_spectral_init(
     masks: CdpMasks, y, tol: float = 1e-3, max_iters: int = 500
-) -> CdpSpectralReport:
-    """Leading eigenpair of z -> (1/m) A^H(y * Az).
+) -> SpectralReport:
+    """Leading eigenpair of z -> (1/m) A^H(y * Az), reported with the
+    initial point in `x0`.
 
     The eigenvector is phase-fixed for determinism and scaled to the
     energy-conservation norm estimate sqrt(sum(y) / L).  The eigenvalue is
@@ -133,13 +129,7 @@ def cdp_spectral_init(
     n, L = masks.n, masks.L
 
     def matvec(v):
-        out = np.zeros(n, dtype=complex)
-        for ell in range(L):
-            w = _unitary_fft(masks.masks[ell] * v, masks.shape)
-            out += np.conj(masks.masks[ell]) * _unitary_ifft(
-                y[ell * n:(ell + 1) * n] * w, masks.shape
-            )
-        return out / (L * n)
+        return _adjoint(y.reshape(L, n) * _forward(v, masks), masks) / (L * n)
 
     raw = rng.normals(masks.seed, _INIT_STREAM, 2 * n)
     v0 = raw[:n] + 1j * raw[n:]
@@ -147,9 +137,8 @@ def cdp_spectral_init(
     v = result.vector
     pivot = int(np.argmax(np.abs(v)))
     v = v * np.exp(-1j * np.angle(v[pivot]))
-    z0 = math.sqrt(float(np.sum(y)) / L) * v
-    return CdpSpectralReport(
-        z0=z0,
+    return SpectralReport(
+        x0=math.sqrt(float(np.sum(y)) / L) * v,
         lambda1=result.eigenvalue,
         power_iters_used=result.iters,
         residual=result.residual,
@@ -208,7 +197,7 @@ def cdp_run(
     masks = sample_masks(image.shape, L, seed)
     y = cdp_observe(z_star, masks)
     init = cdp_spectral_init(masks, y)
-    z0 = init.z0
+    z0 = init.x0
 
     params = override_params(
         default_params(n, math.sqrt(init.lambda1 / 3.0), method), eta, beta,

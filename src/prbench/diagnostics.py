@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .model import GroundTruth, SensingEnsemble
+from .objective import gradient_kernel
 from .ric import RicConfig
 from .solvers import Method, SolverParams, momentum_step, run
 
@@ -58,12 +59,7 @@ def loo_sequence(
         raise ValueError(f"row index {ell} outside [0, {ens.m})")
     rows_l = np.delete(ens.rows, ell, axis=0)
     y_l = np.delete(y, ell)
-    m = ens.m
-
-    def grad_fn(x):
-        p = rows_l @ x
-        return rows_l.T @ ((p * p - y_l) * p) / m
-
+    grad_fn = lambda x: gradient_kernel(rows_l, y_l, x, ens.m)
     out = np.empty((steps + 1, ens.n))
     out[0] = x0
     x_prev = x0

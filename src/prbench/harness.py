@@ -162,13 +162,28 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for seed in cfg.seed_list:
         if not 0 <= seed < 2**64:
             raise ValueError(f"seeds must lie in [0, 2**64), got {seed}")
-    if not cfg.kappa >= 1:
-        raise ValueError(f"kappa must be at least 1, got {cfg.kappa}")
+    # range checks run before any command writes output; a one-pixel image
+    # has n = 1, where the log n step-size defaults are undefined
+    minimums = [("n_list", n, 2) for n in cfg.n_list] + [("m_list", m, 1) for m in cfg.m_list]
+    minimums += [(name, getattr(cfg, name), low) for name, low in (
+        ("kappa", 1), ("max_iters", 0), ("oracle_steps", 2), ("mask_count", 1),
+        ("cdp_size", 2), ("cdp_iters", 0))]
+    for name, value, low in minimums:
+        if not value >= low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    if not cfg.tol > 0:
+        raise ValueError(f"tol must be positive, got {cfg.tol}")
 
 
 def theory_m(n: int, c: float = 10.0) -> int:
     """Sample count m = round(c n log n) for the theory-regime experiments."""
     return int(round(c * n * math.log(n)))
+
+
+def _sample_count(cfg: ExperimentConfig, n: int, idx: int = 0) -> int:
+    """m for the idx-th signal size: the matching `m_list` entry if there is
+    one, else the theory-regime rule."""
+    return cfg.m_list[idx] if idx < len(cfg.m_list) else theory_m(n)
 
 
 def _fmt(value) -> str:
@@ -231,7 +246,7 @@ def write_trace(path: str, trace: IterationTrace) -> None:
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     n, seed, method = cfg.n_list[0], cfg.seed_list[0], cfg.methods[0]
-    m = cfg.m_list[0] if cfg.m_list else theory_m(n)
+    m = _sample_count(cfg, n)
     trace = _single_run(cfg, n, m, seed, method)
     write_trace(cfg.out, trace)
     return 0
@@ -277,7 +292,7 @@ def headtohead_slope(cfg: ExperimentConfig, n: int, m: int, seed: int):
 
 def cmd_headtohead(cfg: ExperimentConfig) -> int:
     n = cfg.n_list[0]
-    m = cfg.m_list[0] if cfg.m_list else theory_m(n)
+    m = _sample_count(cfg, n)
     all_rows, comments, slopes = [], [], []
     for seed in cfg.seed_list:
         rows, slope, statuses = headtohead_slope(cfg, n, m, seed)
@@ -301,7 +316,7 @@ def cmd_slopes(cfg: ExperimentConfig) -> int:
     rows = []
     any_fail = False
     for idx, n in enumerate(cfg.n_list):
-        m = cfg.m_list[idx] if idx < len(cfg.m_list) else theory_m(n)
+        m = _sample_count(cfg, n, idx)
         slopes = []
         for seed in cfg.seed_list:
             _, slope, _ = headtohead_slope(cfg, n, m, seed)
@@ -358,7 +373,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 def cmd_loo(cfg: ExperimentConfig) -> int:
     n, seed = cfg.n_list[0], cfg.seed_list[0]
-    m = cfg.m_list[0] if cfg.m_list else theory_m(n)
+    m = _sample_count(cfg, n)
     method = cfg.methods[0]
     ens, gt, y, x0 = _problem(cfg, n, m, seed)
     params = override_params(
@@ -398,7 +413,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
 
 def cmd_concentration(cfg: ExperimentConfig) -> int:
     n = cfg.n_list[0]
-    m = cfg.m_list[0] if cfg.m_list else theory_m(n)
+    m = _sample_count(cfg, n)
     rows = []
     any_fail = False
     for seed in cfg.seed_list:

@@ -70,12 +70,18 @@ def random_ground_truth(n: int, seed: int) -> GroundTruth:
     return ground_truth(sample_unit_sphere(n, seed))
 
 
-def sample_unit_sphere(n: int, seed: int) -> np.ndarray:
-    """Uniform draw from the unit sphere: a normalized Gaussian vector."""
+def unit_sphere(n: int, seed: int, stream: int) -> np.ndarray:
+    """Uniform draw from the unit sphere: a normalized Gaussian vector taken
+    from the given Philox stream."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    v = rng.normals(seed, _SPHERE_STREAM, n)
+    v = rng.normals(seed, stream, n)
     return v / np.linalg.norm(v)
+
+
+def sample_unit_sphere(n: int, seed: int) -> np.ndarray:
+    """Unit-sphere draw from the ground-truth stream."""
+    return unit_sphere(n, seed, _SPHERE_STREAM)
 
 
 def observe(ens: SensingEnsemble, gt: GroundTruth) -> Observations:

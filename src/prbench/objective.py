@@ -27,12 +27,6 @@ def _check_inputs(ens: SensingEnsemble, y, x):
     return y, x
 
 
-def cost_kernel(rows, y, x, m_norm: int) -> float:
-    p = rows @ x
-    r = p * p - y
-    return float(r @ r) / (4.0 * m_norm)
-
-
 def gradient_kernel(rows, y, x, m_norm: int) -> np.ndarray:
     p = rows @ x
     return rows.T @ ((p * p - y) * p) / m_norm
@@ -40,7 +34,9 @@ def gradient_kernel(rows, y, x, m_norm: int) -> np.ndarray:
 
 def cost(ens: SensingEnsemble, y, x) -> float:
     y, x = _check_inputs(ens, y, x)
-    return cost_kernel(ens.rows, y, x, ens.m)
+    p = ens.rows @ x
+    r = p * p - y
+    return float(r @ r) / (4.0 * ens.m)
 
 
 def gradient(ens: SensingEnsemble, y, x) -> np.ndarray:

@@ -63,33 +63,6 @@ def check_inc(
     return value <= bound, value
 
 
-def segment_in_ric(
-    x_a,
-    x_b,
-    gt: GroundTruth,
-    ens: SensingEnsemble,
-    cfg: RicConfig,
-    samples: int = 16,
-) -> bool:
-    """Check LOC and INC at evenly spaced points of the segment [x_a, x_b].
-
-    Both predicates are convex along a segment, so the endpoints decide;
-    interior samples are belt and suspenders for logging.
-    """
-    if samples < 2:
-        raise ValueError("need at least the two endpoint samples")
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-    for tau in np.linspace(0.0, 1.0, samples):
-        point = (1.0 - tau) * x_a + tau * x_b
-        if not check_loc(point, gt, cfg):
-            return False
-        ok, _ = check_inc(point, gt, ens, cfg)
-        if not ok:
-            return False
-    return True
-
-
 def contraction_matrix_hb(hess: np.ndarray, eta: float, beta: float) -> np.ndarray:
     """Heavy-ball pair map [[(1+b)I - eta*H, -b*I], [I, 0]]."""
     hess = np.asarray(hess, dtype=float)
@@ -110,10 +83,3 @@ def contraction_matrix_nag(hess: np.ndarray, eta: float, beta: float) -> np.ndar
     bottom = np.hstack([eye, np.zeros((n, n))])
     return np.vstack([top, bottom])
 
-
-def spectral_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2))
-
-
-def spectral_radius(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))

@@ -138,12 +138,12 @@ def default_params(n: int, norm_x0: float, method: Method) -> SolverParams:
     return SolverParams(method=method, eta=eta, beta=beta)
 
 
-def theory_params(n: int, norm_x0: float, method: Method, c: float = 1.0) -> SolverParams:
-    """Rate-analysis defaults: same eta, momentum targeting (1/2, c log n)."""
+def theory_params(n: int, norm_x0: float, method: Method) -> SolverParams:
+    """Rate-analysis defaults: same eta, momentum targeting (1/2, log n)."""
     base = default_params(n, norm_x0, method)
     if base.method is Method.GD:
         return base
-    return replace(base, beta=momentum_beta(0.5, c * math.log(n)))
+    return replace(base, beta=momentum_beta(0.5, math.log(n)))
 
 
 def override_params(

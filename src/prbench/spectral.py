@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateSpectrumError, PowerIterationError
-from .model import SensingEnsemble
+from .model import SensingEnsemble, unit_sphere
 
 _POWER_STREAM = rng.label_stream("power-iteration")
 # distinct from the ground-truth sphere stream so a random start is
@@ -123,11 +123,6 @@ def spectral_init(
     )
 
 
-def random_init(n: int, seed: int, radius: float = 1.0) -> np.ndarray:
-    """Uniform draw from the sphere of the given radius."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    v = rng.normals(seed, _RANDOM_INIT_STREAM, n)
-    return radius * v / np.linalg.norm(v)
+def random_init(n: int, seed: int) -> np.ndarray:
+    """Uniform draw from the unit sphere, independent of the ground truth."""
+    return unit_sphere(n, seed, _RANDOM_INIT_STREAM)

@@ -3,6 +3,11 @@ and ending with a printed pass/fail line (visible under `pytest -v -s`).
 
 Criterion 8 checks the leave-one-out proximity bound at m = round(n log n)
 = 461 for n=100, the regime in which the leave-one-out argument claims it.
+Its five spectral starts are incoherent but not local: each passes the
+incoherence check (max |a_l . (x0 - s x*)| from 4.50 to 7.84, within 10.73)
+but lies outside the locality radius 2 c1 ||x*|| = 0.6 (dist(x0, x*) from
+0.856 to 1.005), so the criterion checks the bound from incoherent,
+non-local starts rather than from the local region the analysis assumes.
 It does not run at m=256, the default cost guard of `loo_run`: the bound is
 not claimed there, and it fails, because the spectral start of seed 4
 already breaks the incoherence predicate before the first step

@@ -155,7 +155,7 @@ class TestCdpRun:
 def test_spectral_init_scaling(small_setup):
     masks, z_star, y = small_setup
     rep = cdp.cdp_spectral_init(masks, y)
-    assert np.linalg.norm(rep.z0) == pytest.approx(
+    assert np.linalg.norm(rep.x0) == pytest.approx(
         math.sqrt(y.sum() / masks.L), rel=1e-12
     )
     assert rep.lambda1 > 0

@@ -5,7 +5,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prbench import cli, harness
 from prbench.harness import (
@@ -290,11 +290,24 @@ class TestCli:
         ["run", "--seed_list", "-1"],
         ["run", "--seed_list", "18446744073709551616"],
         ["oracle", "--kappa", "0"],
+        ["sweep", "--n_list", "1", "--m_list", "5"],
+        ["sweep", "--n_list", "4", "--m_list", "0"],
+        ["cdp", "--cdp_size", "0"],
+        ["cdp", "--cdp_size", "1"],
+        ["cdp", "--mask_count", "0"],
+        ["cdp", "--cdp_iters", "-1"],
+        ["run", "--tol", "0"],
+        ["run", "--max_iters", "-1"],
+        ["oracle", "--oracle_steps", "1"],
+        ["oracle", "--n_list", "1"],
     ])
     def test_out_of_range_input_exits_two(self, tmp_path, capsys, argv):
-        code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+        # rejected while validating the config, before any output exists
+        out = tmp_path / "out"
+        code = cli.main(argv + ["--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("prbench: ")
+        assert not out.exists()
 
     def test_cdp_gd_keeps_zero_beta_under_override(self, tmp_path):
         common = ["cdp", "--methods", "gd,polyak", "--cdp_size", "8",
@@ -310,27 +323,38 @@ class TestCli:
         assert gd_rows(tmp_path / "beta") == gd_rows(tmp_path / "plain")
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    command=st.sampled_from(["run", "loo", "oracle", "concentration"]),
-    n=st.integers(1, 8),
-    m=st.integers(1, 30),
+    command=st.sampled_from(sorted(cli.COMMANDS)),
+    n_list=st.lists(st.integers(2, 8), min_size=1, max_size=3),
+    m_list=st.lists(st.integers(1, 30), min_size=1, max_size=3),
     max_iters=st.integers(0, 30),
-    oracle_steps=st.integers(0, 50),
+    oracle_steps=st.integers(2, 50),
     seed=st.integers(-2, 2**64),
     kappa=st.integers(-1, 200),
-    method=st.sampled_from(["gd", "polyak", "nesterov"]),
+    methods=st.lists(st.sampled_from(["gd", "polyak", "nesterov"]),
+                     min_size=1, max_size=2, unique=True),
     init=st.sampled_from(["spectral", "random"]),
+    cdp_size=st.integers(1, 8),
+    mask_count=st.integers(1, 3),
+    cdp_iters=st.integers(0, 5),
 )
-def test_cli_fuzz_exit_contract(command, n, m, max_iters, oracle_steps, seed, kappa,
-                                method, init):
+def test_cli_fuzz_exit_contract(tmp_path, command, n_list, m_list, max_iters,
+                                oracle_steps, seed, kappa, methods, init,
+                                cdp_size, mask_count, cdp_iters):
     # every input ends in exit 0, 1 or 2; an escaping exception fails the test
-    with tempfile.TemporaryDirectory() as tmp:
+    def joined(values):
+        return ",".join(str(v) for v in values)
+
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         argv = [
-            command, "--n_list", str(n), "--m_list", str(m),
+            command, "--n_list", joined(n_list), "--m_list", joined(m_list),
             "--max_iters", str(max_iters), "--oracle_steps", str(oracle_steps),
-            "--seed_list", str(seed), "--kappa", str(kappa), "--methods", method,
-            "--init", init, "--out", os.path.join(tmp, "out.csv"),
+            "--seed_list", str(seed), "--kappa", str(kappa),
+            "--methods", joined(methods), "--init", init,
+            "--cdp_size", str(cdp_size), "--mask_count", str(mask_count),
+            "--cdp_iters", str(cdp_iters), "--out", os.path.join(tmp, "out"),
         ]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

@@ -87,14 +87,10 @@ class TestSpectralInit:
 
 
 class TestRandomInit:
-    def test_radius(self):
-        for radius in (0.5, 1.0, 3.0):
-            assert np.linalg.norm(pb.random_init(8, 1, radius)) == pytest.approx(
-                radius, abs=1e-12
-            )
-
     def test_deterministic(self):
-        assert np.array_equal(pb.random_init(5, 2), pb.random_init(5, 2))
+        x = pb.random_init(5, 2)
+        assert np.array_equal(x, pb.random_init(5, 2))
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
 
     def test_distinct_seeds(self):
         assert not np.array_equal(pb.random_init(5, 2), pb.random_init(5, 3))
@@ -106,5 +102,3 @@ class TestRandomInit:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             pb.random_init(0, 1)
-        with pytest.raises(ValueError):
-            pb.random_init(4, 1, radius=0.0)
