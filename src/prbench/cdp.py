@@ -30,11 +30,6 @@ def fft_call_count() -> int:
     return _fft_calls
 
 
-def reset_fft_call_count() -> None:
-    global _fft_calls
-    _fft_calls = 0
-
-
 @dataclass(frozen=True)
 class CdpMasks:
     """L octanary modulation masks over a signal of the given shape."""

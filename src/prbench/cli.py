@@ -8,11 +8,10 @@ on stderr).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .errors import CapabilityError, DegenerateSpectrumError, PowerIterationError
-from .harness import COMMANDS, ExperimentConfig, apply_overrides, load_config, validate_config
+from .harness import COMMANDS, make_config, parse_config
 
 
 def _parse_overrides(tokens: list[str]) -> dict[str, str]:
@@ -43,15 +42,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     try:
+        # the defaults, then the file's lines, then the flags; one check
         overrides = _parse_overrides(extra)
+        values = {}
         if args.config is not None:
-            cfg = load_config(args.config)
-        else:
-            cfg = ExperimentConfig()
-        cfg = apply_overrides(cfg, overrides)
-        cfg = dataclasses.replace(cfg, experiment=args.command)
-        validate_config(cfg)
-        return COMMANDS[args.command](cfg)
+            with open(args.config, "r", encoding="utf-8") as fh:
+                values = parse_config(fh.read())
+        values.update(overrides)
+        return COMMANDS[args.command](make_config(values))
     except (
         ValueError, OSError, CapabilityError, PowerIterationError, DegenerateSpectrumError,
     ) as exc:

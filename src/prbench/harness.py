@@ -8,12 +8,11 @@ comment lines.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import statistics
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .ric import RicConfig
 from .solvers import (
     IterationTrace,
     Method,
+    SolverParams,
     Status,
     default_params,
     override_params,
@@ -32,10 +32,6 @@ from .solvers import (
     theory_params,
 )
 from .spectral import random_init, spectral_init
-
-EXPERIMENTS = (
-    "run", "sweep", "headtohead", "slopes", "loo", "oracle", "cdp", "concentration",
-)
 
 TRACE_COLUMNS = (
     "iter", "dist", "cost", "grad_norm", "max_incoherence",
@@ -45,7 +41,6 @@ TRACE_COLUMNS = (
 
 @dataclass
 class ExperimentConfig:
-    experiment: str = "run"
     n_list: tuple[int, ...] = (10,)
     m_list: tuple[int, ...] = ()  # empty: use the 10 n log n rule
     seed_list: tuple[int, ...] = (0,)
@@ -102,9 +97,10 @@ def _parse_value(name: str, text: str):
     return None if text == "" else float(text)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat key=value text; blank lines and # comments are ignored."""
-    kwargs = {}
+def parse_config(text: str) -> dict[str, str]:
+    """Split flat key=value text into raw {key: value text}; blank lines and
+    # comments are ignored, and a later line for a key wins."""
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -112,51 +108,31 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        kwargs[key] = _parse_value(key, value)
-    cfg = ExperimentConfig(**kwargs)
-    validate_config(cfg)
-    return cfg
+        values[key.strip()] = value
+    return values
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if f.name in _LIST_FIELDS:
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
-def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
-    updates = {}
-    for key, value in overrides.items():
+def make_config(values: dict[str, str]) -> ExperimentConfig:
+    """The defaults with the raw values applied, parsed and checked once."""
+    for key in values:
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        updates[key] = _parse_value(key, value)
-    cfg = dataclasses.replace(cfg, **updates)
+    cfg = ExperimentConfig(**{key: _parse_value(key, text) for key, text in values.items()})
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {cfg.experiment!r}")
     for name in ("n_list", "seed_list", "methods"):
         if not getattr(cfg, name):
             raise ValueError(f"{name} must be nonempty")
-    for m in cfg.methods + (cfg.method_a, cfg.method_b):
-        Method(m)
+    # step, momentum, max_iters and tol go through the rule the commands
+    # use; every method is checked, so a bad beta is rejected even where
+    # only gradient descent (which ignores it) runs
+    for m in cfg.methods + (cfg.method_a, cfg.method_b) + tuple(Method):
+        override_params(SolverParams(Method(m), eta=1.0), cfg.eta, cfg.beta,
+                        max_iters=cfg.max_iters, tol=cfg.tol)
+    cfg.ric()
     if cfg.init not in ("spectral", "random"):
         raise ValueError(f"init must be spectral or random, got {cfg.init!r}")
     for seed in cfg.seed_list:
@@ -166,13 +142,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # has n = 1, where the log n step-size defaults are undefined
     minimums = [("n_list", n, 2) for n in cfg.n_list] + [("m_list", m, 1) for m in cfg.m_list]
     minimums += [(name, getattr(cfg, name), low) for name, low in (
-        ("kappa", 1), ("max_iters", 0), ("oracle_steps", 2), ("mask_count", 1),
-        ("cdp_size", 2), ("cdp_iters", 0))]
+        ("kappa", 1), ("oracle_steps", 2), ("mask_count", 1), ("cdp_size", 2),
+        ("cdp_iters", 0))]
     for name, value, low in minimums:
         if not value >= low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
-    if not cfg.tol > 0:
-        raise ValueError(f"tol must be positive, got {cfg.tol}")
 
 
 def theory_m(n: int, c: float = 10.0) -> int:
@@ -314,7 +288,6 @@ def cmd_slopes(cfg: ExperimentConfig) -> int:
     if len(cfg.n_list) < 3:
         raise ValueError("slope experiments need at least three n values")
     rows = []
-    any_fail = False
     for idx, n in enumerate(cfg.n_list):
         m = _sample_count(cfg, n, idx)
         slopes = []
@@ -325,10 +298,9 @@ def cmd_slopes(cfg: ExperimentConfig) -> int:
         mean_slope = statistics.fmean(slopes) if slopes else math.nan
         reference = math.sqrt(math.log(n))
         ok = math.isfinite(mean_slope) and abs(mean_slope - reference) <= 0.3 * reference
-        any_fail = any_fail or not ok
         rows.append((n, m, len(slopes), mean_slope, reference, ok))
     _write_csv(cfg.out, ("n", "m", "seeds", "mean_slope", "sqrt_log_n", "ok"), rows)
-    return 1 if any_fail else 0
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 def sweep_cell(cfg: ExperimentConfig, n: int, m: int, method, out_dir=None):
@@ -401,27 +373,21 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
         Method.NESTEROV: 1.0 - 1.0 / math.sqrt(kappa) + 0.02,
     }
     rows = []
-    any_fail = False
     for method in (Method.GD, Method.POLYAK, Method.NESTEROV):
         measured = quadratic_oracle(1.0, kappa, method, steps=cfg.oracle_steps)
-        ok = measured <= bounds[method]
-        any_fail = any_fail or not ok
-        rows.append((method.value, measured, bounds[method], ok))
+        rows.append((method.value, measured, bounds[method], measured <= bounds[method]))
     _write_csv(cfg.out, ("method", "measured_ratio", "bound", "ok"), rows)
-    return 1 if any_fail else 0
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 def cmd_concentration(cfg: ExperimentConfig) -> int:
     n = cfg.n_list[0]
     m = _sample_count(cfg, n)
     rows = []
-    any_fail = False
     for seed in cfg.seed_list:
         ens = sample_ensemble(m, n, seed)
         probe = sample_unit_sphere(n, seed)
         rep = concentration_report(ens, probe)
-        ok = rep.row_norm_ok and rep.projection_ok
-        any_fail = any_fail or not ok
         rows.append((
             seed, rep.max_row_norm, rep.row_norm_bound, rep.row_norm_ok,
             rep.max_projection, rep.projection_bound, rep.projection_ok,
@@ -432,28 +398,31 @@ def cmd_concentration(cfg: ExperimentConfig) -> int:
          "max_projection", "proj_bound", "proj_ok"),
         rows,
     )
-    return 1 if any_fail else 0
+    return 0 if all(row[3] and row[6] for row in rows) else 1
 
 
 def cmd_cdp(cfg: ExperimentConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     if cfg.image:
         image = read_pgm(cfg.image)
     else:
         image = cdp_mod.synthetic_image(cfg.cdp_size, cfg.cdp_size)
     seed = cfg.seed_list[0]
+    # every run finishes before the output directory exists, so a failed
+    # command leaves nothing behind
+    traces = [
+        cdp_mod.cdp_run(image, cfg.mask_count, Method(method), cfg.cdp_iters, seed,
+                        eta=cfg.eta, beta=cfg.beta)
+        for method in cfg.methods
+    ]
+    os.makedirs(cfg.out, exist_ok=True)
     rows = []
     finals = {}
-    for method in cfg.methods:
-        trace = cdp_mod.cdp_run(
-            image, cfg.mask_count, Method(method), cfg.cdp_iters, seed,
-            eta=cfg.eta, beta=cfg.beta,
-        )
-        finals[Method(method)] = float(trace.rel_err[-1])
+    for trace in traces:
+        finals[trace.method] = float(trace.rel_err[-1])
         for t, err in enumerate(trace.rel_err):
-            rows.append((Method(method).value, t, err))
+            rows.append((trace.method.value, t, err))
         write_pgm(
-            os.path.join(cfg.out, f"recovered_{Method(method).value}.pgm"),
+            os.path.join(cfg.out, f"recovered_{trace.method.value}.pgm"),
             np.abs(trace.recovered),
         )
     comments = [f"final_{m.value}={v:.17g}" for m, v in finals.items()]

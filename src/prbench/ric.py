@@ -25,7 +25,7 @@ class RicConfig:
     c3: float = 5.0
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0 or self.c3 <= 0:
+        if not (self.c1 > 0 and self.c2 > 0 and self.c3 > 0):
             raise ValueError("RIC constants must be positive")
 
 

@@ -46,16 +46,16 @@ class SolverParams:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not 0 < self.eta < math.inf:
             raise ValueError("step size must be positive")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.method is Method.GD and self.beta != 0.0:
             raise ValueError("gradient descent requires beta = 0")
         if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,8 @@ def run(
     if ric is None:
         ric = RicConfig()
 
-    rows = ens.rows
-    grad_fn = lambda x: gradient_kernel(rows, y, x, ens.m)
+    rows, m = ens.rows, ens.m
+    grad_fn = lambda x: gradient_kernel(rows, y, x, m)
 
     if gt is not None:
         if gt.x_star.shape != (ens.n,):
@@ -209,8 +209,8 @@ def run(
             # one pass of projections feeds cost, gradient, and incoherence
             proj = rows @ x_curr
             resid = proj * proj - y
-            cost_value = float(resid @ resid) / (4.0 * ens.m)
-            grad_value = rows.T @ (resid * proj) / ens.m
+            cost_value = float(resid @ resid) / (4.0 * m)
+            grad_value = rows.T @ (resid * proj) / m
             cost.append(cost_value)
             grad_norm.append(float(np.linalg.norm(grad_value)))
             if gt is None:

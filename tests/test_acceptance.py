@@ -220,7 +220,7 @@ def test_c08_leave_one_out_proximity_and_independence():
     clean = loo_sequence(ens, y, x0, params, 7, 50)
     rows = ens.rows.copy()
     rows[7] = np.nan
-    poisoned = pb.SensingEnsemble(rows=rows, m=m, n=n, seed=ens.seed)
+    poisoned = pb.SensingEnsemble(rows=rows, seed=ens.seed)
     independent = np.array_equal(clean, loo_sequence(poisoned, y, x0, params, 7, 50))
     ok = worst <= threshold and independent
     report(8, ok,

@@ -117,7 +117,7 @@ class TestLooRun:
         clean = loo_sequence(self.ens, self.y, self.x0, self.params, 5, steps)
         rows = self.ens.rows.copy()
         rows[5] = np.nan
-        poisoned = pb.SensingEnsemble(rows=rows, m=self.m, n=self.n, seed=self.seed)
+        poisoned = pb.SensingEnsemble(rows=rows, seed=self.seed)
         again = loo_sequence(poisoned, self.y, self.x0, self.params, 5, steps)
         assert np.array_equal(clean, again)
         # any other sequence does read row 5 and is destroyed by the poison

@@ -10,44 +10,45 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from prbench import cli, harness
 from prbench.harness import (
     ExperimentConfig,
-    apply_overrides,
     headtohead_slope,
+    make_config,
     parse_config,
-    serialize_config,
     theory_m,
 )
 
 
 class TestConfig:
-    def test_round_trip_idempotent(self):
-        cfg = ExperimentConfig(
-            experiment="sweep", n_list=(10, 50), m_list=(200, 500),
-            seed_list=(0, 1, 2), methods=("gd", "polyak"), eta=0.01, out="d",
+    def test_parse_list_float_and_string_keys(self):
+        text = (
+            "n_list=10, 50\nm_list=200,500\nseed_list=0,1,2\nmethods=gd,polyak\n"
+            "eta=0.01\ntol=1e-5\nout=d\ninit=random\n"
         )
-        text = serialize_config(cfg)
-        assert parse_config(text) == cfg
-        assert serialize_config(parse_config(text)) == text
+        assert make_config(parse_config(text)) == ExperimentConfig(
+            n_list=(10, 50), m_list=(200, 500), seed_list=(0, 1, 2),
+            methods=("gd", "polyak"), eta=0.01, tol=1e-5, out="d", init="random",
+        )
 
     def test_parse_ignores_comments_and_blanks(self):
-        cfg = parse_config("# hello\n\nn_list=4,8\nexperiment=run\n")
-        assert cfg.n_list == (4, 8)
+        values = parse_config("# hello\n\nn_list=4,8\nn_list=5\n")
+        assert values == {"n_list": "5"}
+        assert make_config(values).n_list == (5,)
 
     def test_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_config("bogus=1\n")
+        with pytest.raises(ValueError, match="unknown config key 'bogus'"):
+            make_config(parse_config("bogus=1\n"))
 
     def test_malformed_line(self):
-        with pytest.raises(ValueError, match="key=value"):
-            parse_config("just words\n")
+        with pytest.raises(ValueError, match="line 2: expected key=value"):
+            parse_config("n_list=4\njust words\n")
 
     def test_overrides(self):
-        cfg = apply_overrides(ExperimentConfig(), {"tol": "1e-5", "methods": "gd"})
+        cfg = make_config({"tol": "1e-5", "methods": "gd"})
         assert cfg.tol == 1e-5
         assert cfg.methods == ("gd",)
 
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError):
-            apply_overrides(ExperimentConfig(), {"methods": "newton"})
+            make_config({"methods": "newton"})
 
     def test_theory_m(self):
         assert theory_m(64) == int(round(640 * math.log(64)))
@@ -246,11 +247,30 @@ class TestCli:
         conf = tmp_path / "exp.cfg"
         out = tmp_path / "from_file.csv"
         conf.write_text(
-            "experiment=run\nn_list=10\nm_list=200\nseed_list=0\nmethods=gd\n"
+            "n_list=10\nm_list=200\nseed_list=0\nmethods=gd\n"
             f"out={out}\n"
         )
         assert cli.main(["run", "--config", str(conf)]) == 0
         assert out.exists()
+
+    def test_flag_overrides_out_of_range_file_value(self, tmp_path):
+        # flags are applied over the file before the one check
+        conf = tmp_path / "exp.cfg"
+        out = tmp_path / "trace.csv"
+        conf.write_text("n_list=1\nmethods=gd\n")
+        code = cli.main(["run", "--config", str(conf), "--n_list", "10",
+                         "--m_list", "50", "--out", str(out)])
+        assert code == 0
+        assert out.read_text().startswith("iter,dist,")
+
+    def test_experiment_key_exits_two(self, tmp_path, capsys):
+        # the subcommand picks the experiment; there is no experiment key
+        conf = tmp_path / "exp.cfg"
+        out = tmp_path / "trace.csv"
+        conf.write_text("experiment=run\nn_list=10\nm_list=50\n")
+        assert cli.main(["run", "--config", str(conf), "--out", str(out)]) == 2
+        assert "unknown config key 'experiment'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_error_exit_two(self, tmp_path, capsys):
         bad = str(tmp_path / "missing_dir" / "x.csv")
@@ -300,6 +320,13 @@ class TestCli:
         ["run", "--max_iters", "-1"],
         ["oracle", "--oracle_steps", "1"],
         ["oracle", "--n_list", "1"],
+        ["sweep", "--eta", "-1"],
+        ["sweep", "--eta", "nan"],
+        ["sweep", "--eta", "inf"],
+        ["sweep", "--beta", "1.5"],
+        ["sweep", "--c1", "0"],
+        ["cdp", "--cdp_size", "300"],
+        ["cdp", "--image", "no_such_dir/missing.pgm"],
     ])
     def test_out_of_range_input_exits_two(self, tmp_path, capsys, argv):
         # rejected while validating the config, before any output exists
@@ -339,10 +366,12 @@ class TestCli:
     cdp_size=st.integers(1, 8),
     mask_count=st.integers(1, 3),
     cdp_iters=st.integers(0, 5),
+    eta=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-3", "0.5", "1", "1.5"]),
+    beta=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-3", "0.5", "1", "1.5"]),
 )
 def test_cli_fuzz_exit_contract(tmp_path, command, n_list, m_list, max_iters,
                                 oracle_steps, seed, kappa, methods, init,
-                                cdp_size, mask_count, cdp_iters):
+                                cdp_size, mask_count, cdp_iters, eta, beta):
     # every input ends in exit 0, 1 or 2; an escaping exception fails the test
     def joined(values):
         return ",".join(str(v) for v in values)
@@ -356,6 +385,10 @@ def test_cli_fuzz_exit_contract(tmp_path, command, n_list, m_list, max_iters,
             "--cdp_size", str(cdp_size), "--mask_count", str(mask_count),
             "--cdp_iters", str(cdp_iters), "--out", os.path.join(tmp, "out"),
         ]
+        # None leaves the command's default step or momentum in place
+        for key, value in (("--eta", eta), ("--beta", beta)):
+            if value is not None:
+                argv += [key, value]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main(argv)

@@ -43,7 +43,7 @@ class TestObserve:
         assert np.array_equal(pb.observe(ens, gt).y, np.zeros(10))
 
     def test_single_entry(self):
-        ens = pb.SensingEnsemble(rows=np.array([[1.0]]), m=1, n=1, seed=0)
+        ens = pb.SensingEnsemble(rows=np.array([[1.0]]), seed=0)
         gt = pb.ground_truth([2.0])
         assert pb.observe(ens, gt).y[0] == 4.0
 
@@ -115,10 +115,6 @@ class TestGroundTruth:
     def test_norm_consistency(self):
         gt = pb.random_ground_truth(6, 9)
         assert gt.norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_norm_field_validated(self):
-        with pytest.raises(ValueError):
-            pb.GroundTruth(x_star=np.array([1.0, 0.0]), norm=2.0)
 
 
 def test_concentration_over_twenty_seeds():

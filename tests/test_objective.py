@@ -30,7 +30,7 @@ def fd_hessian(ens, y, x, h):
 
 
 def single_term_problem():
-    ens = pb.SensingEnsemble(rows=np.array([[1.0]]), m=1, n=1, seed=0)
+    ens = pb.SensingEnsemble(rows=np.array([[1.0]]), seed=0)
     return ens, np.array([1.0])
 
 

@@ -1,7 +1,14 @@
 import ast
+import dataclasses
 import inspect
+import pathlib
+import re
 
 import prbench as pb
+from prbench import cli
+from prbench.harness import ExperimentConfig
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_export_list_matches_imports():
@@ -17,3 +24,17 @@ def test_export_list_matches_imports():
     }
     unexported = {name for name in imported if not name.startswith("_")} - set(pb.__all__)
     assert not unexported
+
+
+def test_readme_cli_matches_config():
+    # every flag on a `prbench <command>` line of the README is a config key
+    # (or --config), and the subcommands the README lists are the CLI's
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    calls = re.findall(r"^\s*prbench (\w+)(.*)$", text, flags=re.M)
+    assert calls
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"config"}
+    for command, args in calls:
+        assert command in cli.COMMANDS
+        assert set(re.findall(r"--(\w+)", args)) <= keys, args
+    listed = re.search(r"Subcommands: (.*?)\.", text, flags=re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", listed)) == set(cli.COMMANDS)

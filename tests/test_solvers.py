@@ -33,7 +33,7 @@ def scalar_recursion(method, mu, L, eta, beta, steps):
 
 
 def tiny_problem():
-    ens = pb.SensingEnsemble(rows=np.array([[1.0]]), m=1, n=1, seed=0)
+    ens = pb.SensingEnsemble(rows=np.array([[1.0]]), seed=0)
     return ens, np.array([1.0])
 
 
