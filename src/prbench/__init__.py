@@ -24,7 +24,7 @@ from .model import (
     sample_ensemble,
     sample_unit_sphere,
 )
-from .objective import cost, gradient, hessian, hessian_extremes, hessian_vec
+from .objective import cost, gradient, hessian, hessian_extremes
 from .ric import (
     RicConfig,
     check_inc,
@@ -70,7 +70,6 @@ __all__ = [
     "ground_truth",
     "hessian",
     "hessian_extremes",
-    "hessian_vec",
     "leading_eigenpair",
     "loo_run",
     "observe",

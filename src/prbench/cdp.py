@@ -36,8 +36,11 @@ class CdpMasks:
 
     masks: np.ndarray
     shape: tuple[int, ...]
-    L: int
     seed: int
+
+    @property
+    def L(self) -> int:
+        return self.masks.shape[0]
 
     @property
     def n(self) -> int:
@@ -59,7 +62,7 @@ def sample_masks(shape, L: int, seed: int) -> CdpMasks:
         b2 = np.where(u[n:] < 0.8, math.sqrt(2.0) / 2.0, math.sqrt(3.0))
         masks[ell] = b1 * b2
     masks.setflags(write=False)
-    return CdpMasks(masks=masks, shape=shape, L=L, seed=seed)
+    return CdpMasks(masks=masks, shape=shape, seed=seed)
 
 
 def _forward(z: np.ndarray, masks: CdpMasks) -> np.ndarray:
@@ -106,9 +109,7 @@ def cdp_gradient(z, y, masks: CdpMasks) -> np.ndarray:
     return _adjoint((np.abs(w) ** 2 - y.reshape(L, n)) * w, masks) / (L * n)
 
 
-def cdp_spectral_init(
-    masks: CdpMasks, y, tol: float = 1e-3, max_iters: int = 500
-) -> SpectralReport:
+def cdp_spectral_init(masks: CdpMasks, y) -> SpectralReport:
     """Leading eigenpair of z -> (1/m) A^H(y * Az), reported with the
     initial point in `x0`.
 
@@ -116,7 +117,7 @@ def cdp_spectral_init(
     energy-conservation norm estimate sqrt(sum(y) / L).  The eigenvalue is
     reported because sqrt(lambda1 / 3) is the signal norm measured in the
     operator's own scale, which is what step sizes must be matched to.
-    The default tolerance is loose: this operator's spectral gap is small,
+    The tolerance is loose: this operator's spectral gap is small,
     and the statistical error of the initializer dominates long before the
     eigenpair is resolved to high precision.
     """
@@ -128,7 +129,7 @@ def cdp_spectral_init(
 
     raw = rng.normals(masks.seed, _INIT_STREAM, 2 * n)
     v0 = raw[:n] + 1j * raw[n:]
-    result = leading_eigenpair(matvec, v0, tol=tol, max_iters=max_iters)
+    result = leading_eigenpair(matvec, v0, tol=1e-3, max_iters=500)
     v = result.vector
     pivot = int(np.argmax(np.abs(v)))
     v = v * np.exp(-1j * np.angle(v[pivot]))

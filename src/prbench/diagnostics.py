@@ -26,15 +26,13 @@ from .solvers import Method, SolverParams, momentum_step, run
 class LooBundle:
     """Per-sequence summaries of the m leave-one-out runs.
 
-    `dist_main[l, t]` is ||x^t - x^{t,(l)}||, `dist_star[l, t]` is
-    ||x^{t,(l)} - s x_star|| with the main run's sign alignment, and
-    `proximity[t]` is the max over l of the stacked-pair norm
+    `dist_main[l, t]` is ||x^t - x^{t,(l)}|| and `proximity[t]` is the max
+    over l of the stacked-pair norm
     ||(x^t - x^{t,(l)}, x^{t-1} - x^{t-1,(l)})||.  The iterate sequences
     themselves are not kept; `loo_sequence` regenerates any one of them.
     """
 
     dist_main: np.ndarray
-    dist_star: np.ndarray
     proximity: np.ndarray
     threshold: float
     within_threshold: bool
@@ -108,16 +106,11 @@ def loo_run(
     main = run(ens, y, x0, params, gt=gt, ric=cfg, keep_history=True)
     history = main.history
     steps = history.shape[0] - 1
-    target = main.sign * gt.x_star
 
-    m = ens.m
-    dist_main = np.zeros((m, steps + 1))
-    dist_star = np.zeros((m, steps + 1))
-
-    for ell in range(m):
+    dist_main = np.zeros((ens.m, steps + 1))
+    for ell in range(ens.m):
         seq = loo_sequence(ens, y, x0, params, ell, steps)
         dist_main[ell] = np.linalg.norm(history - seq, axis=1)
-        dist_star[ell] = np.linalg.norm(seq - target, axis=1)
 
     proximity = np.zeros(steps + 1)
     if steps >= 1:
@@ -126,7 +119,6 @@ def loo_run(
     within = bool(np.all(proximity <= threshold))
     return LooBundle(
         dist_main=dist_main,
-        dist_star=dist_star,
         proximity=proximity,
         threshold=threshold,
         within_threshold=within,

@@ -6,11 +6,7 @@ class CapabilityError(RuntimeError):
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    """Power iteration failed to converge; the message carries the last residual."""
 
 
 class DegenerateSpectrumError(RuntimeError):

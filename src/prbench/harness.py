@@ -147,6 +147,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name, value, low in minimums:
         if not value >= low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
+    # a floor at or below tol leaves the slope fit window empty
+    if not cfg.fit_floor > cfg.tol:
+        raise ValueError(f"fit_floor must exceed tol = {cfg.tol}, got {cfg.fit_floor}")
+    if len(set(cfg.methods)) < len(cfg.methods):
+        raise ValueError(f"methods must be distinct, got {','.join(cfg.methods)}")
 
 
 def theory_m(n: int, c: float = 10.0) -> int:
@@ -203,19 +208,12 @@ def _single_run(cfg: ExperimentConfig, n: int, m: int, seed: int, method) -> Ite
 
 
 def write_trace(path: str, trace: IterationTrace) -> None:
-    columns = [
+    rows = zip(
         trace.iters, trace.dist, trace.cost, trace.grad_norm,
         trace.max_incoherence, trace.loc_ok, trace.inc_ok,
         trace.paired_norm, trace.contraction_ratio,
-    ]
-    if trace.has_gt:
-        header = TRACE_COLUMNS
-        rows = zip(*columns)
-    else:
-        keep = [0, 2, 3]
-        header = tuple(TRACE_COLUMNS[i] for i in keep)
-        rows = zip(*[columns[i] for i in keep])
-    _write_csv(path, header, rows, comments=[f"status={trace.status.value}"])
+    )
+    _write_csv(path, TRACE_COLUMNS, rows, comments=[f"status={trace.status.value}"])
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:

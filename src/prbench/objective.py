@@ -8,12 +8,11 @@ hessian(x)  = (1/m)  sum_i (3 (a_i.x)^2 - y_i) a_i a_i^T
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import CapabilityError
 from .model import SensingEnsemble
 
-# beyond this dimension the dense Hessian is refused; use hessian_vec
+# beyond this dimension the dense Hessian is refused
 DENSE_LIMIT = 512
 
 
@@ -49,7 +48,7 @@ def hessian(ens: SensingEnsemble, y, x) -> np.ndarray:
     y, x = _check_inputs(ens, y, x)
     if ens.n > DENSE_LIMIT:
         raise CapabilityError(
-            f"dense Hessian limited to n <= {DENSE_LIMIT} (got n={ens.n}); use hessian_vec"
+            f"dense Hessian limited to n <= {DENSE_LIMIT} (got n={ens.n})"
         )
     p = ens.rows @ x
     w = 3.0 * p * p - y
@@ -57,30 +56,7 @@ def hessian(ens: SensingEnsemble, y, x) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def hessian_vec(ens: SensingEnsemble, y, x, v) -> np.ndarray:
-    """Hessian-vector product without materializing the matrix; O(mn)."""
-    y, x = _check_inputs(ens, y, x)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (ens.n,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({ens.n},)")
-    p = ens.rows @ x
-    w = 3.0 * p * p - y
-    return ens.rows.T @ (w * (ens.rows @ v)) / ens.m
-
-
 def hessian_extremes(ens: SensingEnsemble, y, x) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of the Hessian at x.
-
-    Dense symmetric eigendecomposition up to DENSE_LIMIT, Lanczos with a
-    200-step cap and 1e-8 tolerance above that.
-    """
-    y, x = _check_inputs(ens, y, x)
-    if ens.n <= DENSE_LIMIT:
-        eigs = np.linalg.eigvalsh(hessian(ens, y, x))
-        return float(eigs[0]), float(eigs[-1])
-    op = LinearOperator(
-        (ens.n, ens.n), matvec=lambda v: hessian_vec(ens, y, x, v), dtype=float
-    )
-    lo = eigsh(op, k=1, which="SA", maxiter=200, tol=1e-8, return_eigenvectors=False)
-    hi = eigsh(op, k=1, which="LA", maxiter=200, tol=1e-8, return_eigenvectors=False)
-    return float(lo[0]), float(hi[0])
+    """(lambda_min, lambda_max) of the dense Hessian at x; refuses n > DENSE_LIMIT."""
+    eigs = np.linalg.eigvalsh(hessian(ens, y, x))
+    return float(eigs[0]), float(eigs[-1])

@@ -6,9 +6,10 @@ regardless of chunking, call order, or parallel execution.  Stream ids
 below 2^63 are reserved for ensemble row indices; named streams hash into
 the upper half of the id space via :func:`label_stream`.
 
-Uniform doubles take the top 53 bits of each 64-bit block output, mapped
-to (0, 1) exclusive.  Normal variates apply the inverse normal CDF to
-those uniforms; this transform is part of the reproducibility contract.
+Each Philox block yields two 64-bit words, and each uniform double takes
+the top 53 bits of one word, mapped to (0, 1) exclusive.  Normal variates
+apply the inverse normal CDF to those uniforms; this transform is part of
+the reproducibility contract.
 """
 
 from __future__ import annotations

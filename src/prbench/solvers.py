@@ -85,7 +85,6 @@ class IterationTrace:
     contraction_ratio: np.ndarray
     status: Status
     sign: float
-    has_gt: bool
     history: np.ndarray | None = None
 
     @property
@@ -267,6 +266,5 @@ def run(
         contraction_ratio=ratio,
         status=status,
         sign=sign,
-        has_gt=gt is not None,
         history=np.asarray(history) if keep_history else None,
     )

@@ -29,7 +29,6 @@ class PowerResult:
     vector: np.ndarray
     iters: int
     residual: float
-    rayleigh_history: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -64,17 +63,15 @@ def leading_eigenpair(
         raise ValueError("start vector must be nonzero")
     v = v / nv
     lam_prev = None
-    history = []
     residual = np.inf
     for k in range(1, max_iters + 1):
         w = matvec(v)
         lam = float(np.real(np.vdot(v, w)))
-        history.append(lam)
         residual = float(np.linalg.norm(w - lam * v))
         scale = max(abs(lam), 1e-300)
         settled = lam_prev is not None and abs(lam - lam_prev) <= tol * scale
         if settled and residual <= tol * scale:
-            return PowerResult(lam, v, k, residual, tuple(history))
+            return PowerResult(lam, v, k, residual)
         nw = np.linalg.norm(w)
         if nw == 0:
             raise DegenerateSpectrumError("operator annihilated the iterate")
@@ -82,8 +79,7 @@ def leading_eigenpair(
         lam_prev = lam
     raise PowerIterationError(
         f"power iteration did not converge in {max_iters} iterations "
-        f"(last residual {residual:.3e})",
-        residual=residual,
+        f"(last residual {residual:.3e})"
     )
 
 
@@ -95,9 +91,7 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def spectral_init(
-    ens: SensingEnsemble, y, tol: float = 1e-10, max_iters: int = 1000
-) -> SpectralReport:
+def spectral_init(ens: SensingEnsemble, y) -> SpectralReport:
     """Spectral initial point x0 = sqrt(lambda_1 / 3) * v1 of Y."""
     y = np.asarray(y, dtype=float)
     if y.shape != (ens.m,):
@@ -108,7 +102,7 @@ def spectral_init(
         return rows.T @ (y * (rows @ v)) / ens.m
 
     v0 = rng.normals(ens.seed, _POWER_STREAM, ens.n)
-    result = leading_eigenpair(matvec, v0, tol=tol, max_iters=max_iters)
+    result = leading_eigenpair(matvec, v0, tol=1e-10, max_iters=1000)
     if result.eigenvalue <= 0:
         raise DegenerateSpectrumError(
             f"leading eigenvalue {result.eigenvalue:.3e} is not positive"

@@ -96,7 +96,7 @@ class TestGradient:
     def test_single_ones_mask_matches_real_formula(self):
         # n = 1 with an all-ones mask degenerates to the scalar gradient
         masks = cdp.CdpMasks(
-            masks=np.ones((1, 1), dtype=complex), shape=(1,), L=1, seed=0
+            masks=np.ones((1, 1), dtype=complex), shape=(1,), seed=0
         )
         y = np.array([1.0])
         g = cdp.cdp_gradient(np.array([2.0 + 0j]), y, masks)

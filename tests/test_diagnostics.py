@@ -165,9 +165,15 @@ class TestLooIncoherenceChain:
         target = trace.sign * gt.x_star
         row_norms = np.linalg.norm(ens.rows, axis=1)
         proj_const = 5.0 * math.sqrt(math.log(n))
-        for t in range(bundle.proximity.shape[0]):
+        steps = bundle.proximity.shape[0] - 1
+        # dist_star[l, t] = ||x^{t,(l)} - s x_star||
+        dist_star = np.array([
+            np.linalg.norm(loo_sequence(ens, y, x0, params, ell, steps) - target, axis=1)
+            for ell in range(m)
+        ])
+        for t in range(steps + 1):
             lhs = np.abs(ens.rows @ (trace.history[t] - target))
-            rhs = row_norms * bundle.dist_main[:, t] + proj_const * bundle.dist_star[:, t]
+            rhs = row_norms * bundle.dist_main[:, t] + proj_const * dist_star[:, t]
             assert (lhs <= rhs + 1e-9).all()
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import prbench as pb
 from prbench.errors import CapabilityError
-from prbench.objective import cost, gradient, hessian, hessian_extremes, hessian_vec
+from prbench.objective import cost, gradient, hessian, hessian_extremes
 
 from conftest import make_problem
 
@@ -115,25 +115,9 @@ class TestHessian:
 
     def test_dense_limit(self):
         ens = pb.sample_ensemble(4, 513, seed=0)
-        with pytest.raises(CapabilityError, match="hessian_vec"):
-            hessian(ens, np.ones(4), np.zeros(513))
-
-
-class TestHessianVec:
-    def test_zero_vector(self, small_problem):
-        ens, _, y, x0 = small_problem
-        assert np.array_equal(hessian_vec(ens, y, x0, np.zeros(ens.n)), np.zeros(ens.n))
-
-    def test_matches_dense(self, small_problem):
-        ens, _, y, x0 = small_problem
-        dense = hessian(ens, y, x0)
-        v = pb.sample_unit_sphere(ens.n, 7)
-        hv = hessian_vec(ens, y, x0, v)
-        assert np.linalg.norm(hv - dense @ v) / np.linalg.norm(dense @ v) < 1e-10
-
-    def test_single_term_basis_vector(self):
-        ens, y = single_term_problem()
-        assert hessian_vec(ens, y, [2.0], [1.0]) == pytest.approx([11.0])
+        for fn in (hessian, hessian_extremes):
+            with pytest.raises(CapabilityError, match="n <= 512"):
+                fn(ens, np.ones(4), np.zeros(513))
 
 
 def test_extremes_match_dense(small_problem):
@@ -142,16 +126,3 @@ def test_extremes_match_dense(small_problem):
     eigs = np.linalg.eigvalsh(hessian(ens, y, x0))
     assert lmin == pytest.approx(eigs[0], rel=1e-10)
     assert lmax == pytest.approx(eigs[-1], rel=1e-10)
-
-
-def test_extremes_matrix_free_path():
-    # above the dense limit the Lanczos route must agree with a dense oracle
-    ens = pb.sample_ensemble(2000, 520, seed=1)
-    gt = pb.random_ground_truth(520, 1)
-    y = pb.observe(ens, gt).y
-    lmin, lmax = hessian_extremes(ens, y, gt.x_star)
-    p = ens.rows @ gt.x_star
-    dense = ens.rows.T @ (ens.rows * (3 * p * p - y)[:, None]) / ens.m
-    eigs = np.linalg.eigvalsh(0.5 * (dense + dense.T))
-    assert lmax == pytest.approx(eigs[-1], rel=1e-6)
-    assert lmin == pytest.approx(eigs[0], rel=1e-6)

@@ -26,6 +26,15 @@ def test_export_list_matches_imports():
     assert not unexported
 
 
+def test_readme_layout_lists_modules():
+    # the modules the README's Layout block names are the package's modules
+    text = README.read_text(encoding="utf-8")
+    layout = re.search(r"## Layout\n\n```\n(.*?)```", text, flags=re.S).group(1)
+    listed = set(re.findall(r"^\s+(\w+\.py)\s", layout, flags=re.M))
+    package = pathlib.Path(pb.__file__).parent
+    assert listed == {p.name for p in package.glob("*.py")} - {"__init__.py"}
+
+
 def test_readme_cli_matches_config():
     # every flag on a `prbench <command>` line of the README is a config key
     # (or --config), and the subcommands the README lists are the CLI's

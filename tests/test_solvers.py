@@ -246,7 +246,6 @@ class TestRun:
         ens, _, y, x0 = make_problem(10, 200, 0)
         params = pb.default_params(10, float(np.linalg.norm(x0)), Method.GD)
         trace = pb.run(ens, y, x0, params)
-        assert not trace.has_gt
         assert trace.status is Status.CONVERGED
         assert trace.grad_norm[-1] <= params.tol
         assert np.isnan(trace.dist).all()

@@ -26,20 +26,12 @@ class TestLeadingEigenpair:
         x0 = math.sqrt(res.eigenvalue / 3.0) * res.vector
         assert pb.dist(x0, gt.x_star) <= 1e-8
 
-    def test_rayleigh_monotone(self):
-        ens, _, y, _ = make_problem(30, 400, 2)
-        matvec = lambda v: ens.rows.T @ (y * (ens.rows @ v)) / ens.m
-        res = leading_eigenpair(matvec, rng.normals(2, _POWER_STREAM, 30))
-        diffs = np.diff(np.asarray(res.rayleigh_history))
-        assert (diffs >= -1e-12).all()
-
     def test_nonconvergence_carries_residual(self):
         # two-cycle operator never settles
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(PowerIterationError) as err:
+        with pytest.raises(PowerIterationError, match=r"last residual [1-9]"):
             leading_eigenpair(lambda v: flip @ v, np.array([1.0, 0.5]),
                               tol=1e-14, max_iters=8)
-        assert err.value.residual > 0
 
     def test_rejects_zero_start(self):
         with pytest.raises(ValueError):
@@ -49,7 +41,7 @@ class TestLeadingEigenpair:
 class TestSpectralInit:
     def test_report_invariants(self):
         ens, _, y, _ = make_problem(40, 800, 1)
-        rep = pb.spectral_init(ens, y, tol=1e-10)
+        rep = pb.spectral_init(ens, y)
         assert np.linalg.norm(rep.x0) == pytest.approx(
             math.sqrt(rep.lambda1 / 3.0), rel=1e-10
         )
