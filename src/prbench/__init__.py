@@ -26,7 +26,6 @@ from .model import (
 )
 from .objective import cost, gradient, hessian, hessian_extremes
 from .ric import (
-    RicConfig,
     check_inc,
     check_loc,
     contraction_matrix_hb,
@@ -53,7 +52,6 @@ __all__ = [
     "Method",
     "Observations",
     "PowerIterationError",
-    "RicConfig",
     "SensingEnsemble",
     "SolverParams",
     "SpectralReport",

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError
 from .model import GroundTruth, SensingEnsemble
 from .objective import gradient_kernel
-from .ric import RicConfig
+from .ric import loo_threshold
 from .solvers import Method, SolverParams, momentum_step, run
 
 
@@ -36,10 +35,6 @@ class LooBundle:
     proximity: np.ndarray
     threshold: float
     within_threshold: bool
-
-
-def loo_threshold(n: int, cfg: RicConfig) -> float:
-    return cfg.c3 * math.sqrt(math.log(n) / n)
 
 
 def loo_sequence(
@@ -78,32 +73,17 @@ def loo_run(
     x0,
     params: SolverParams,
     gt: GroundTruth,
-    cfg: RicConfig | None = None,
-    budget_m: int = 256,
-    budget_iters: int = 500,
 ) -> LooBundle:
     """Run the m leave-one-out sequences next to the main sequence.
 
     The main run fixes the step count T; every sequence iterates exactly T
-    steps so the pairwise distances are time-aligned.  Budget limits guard
-    the O(m^2 n T) cost.  The default `budget_m=256` is a cost guard for the
-    loop over rows (about 3 s per bundle at n=100, m=256, T=500 and 7 s at
-    m=461), not a limit on where the method applies: the proximity bound is
-    claimed for m ~ n log n, so pass a larger `budget_m` to check it there.
+    steps so the pairwise distances are time-aligned.  The cost is
+    O(m^2 n T).
     """
-    if cfg is None:
-        cfg = RicConfig()
     y = np.asarray(y, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    if ens.m > budget_m:
-        raise CapabilityError(f"leave-one-out budget allows m <= {budget_m}, got {ens.m}")
-    if params.max_iters > budget_iters:
-        raise CapabilityError(
-            f"leave-one-out budget allows max_iters <= {budget_iters}, "
-            f"got {params.max_iters}"
-        )
 
-    main = run(ens, y, x0, params, gt=gt, ric=cfg, keep_history=True)
+    main = run(ens, y, x0, params, gt=gt, keep_history=True)
     history = main.history
     steps = history.shape[0] - 1
 
@@ -115,7 +95,7 @@ def loo_run(
     proximity = np.zeros(steps + 1)
     if steps >= 1:
         proximity[1:] = np.hypot(dist_main[:, 1:], dist_main[:, :-1]).max(axis=0)
-    threshold = loo_threshold(ens.n, cfg)
+    threshold = loo_threshold(ens.n)
     within = bool(np.all(proximity <= threshold))
     return LooBundle(
         dist_main=dist_main,

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import cdp as cdp_mod
 from .diagnostics import concentration_report, loo_run, quadratic_oracle
+from .errors import CapabilityError
 from .model import observe, random_ground_truth, sample_ensemble, sample_unit_sphere
 from .pgm import read_pgm, write_pgm
-from .ric import RicConfig
 from .solvers import (
     IterationTrace,
     Method,
@@ -66,13 +66,6 @@ class ExperimentConfig:
     mask_count: int = 12
     cdp_iters: int = 140
     cdp_size: int = 64
-    # RIC constants
-    c1: float = 0.3
-    c2: float = 5.0
-    c3: float = 5.0
-
-    def ric(self) -> RicConfig:
-        return RicConfig(c1=self.c1, c2=self.c2, c3=self.c3)
 
 
 _LIST_FIELDS = {"n_list", "m_list", "seed_list", "methods"}
@@ -132,7 +125,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for m in cfg.methods + (cfg.method_a, cfg.method_b) + tuple(Method):
         override_params(SolverParams(Method(m), eta=1.0), cfg.eta, cfg.beta,
                         max_iters=cfg.max_iters, tol=cfg.tol)
-    cfg.ric()
     if cfg.init not in ("spectral", "random"):
         raise ValueError(f"init must be spectral or random, got {cfg.init!r}")
     for seed in cfg.seed_list:
@@ -147,11 +139,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name, value, low in minimums:
         if not value >= low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
+    if not cfg.kappa < math.inf:
+        raise ValueError(f"kappa must be finite, got {cfg.kappa}")
     # a floor at or below tol leaves the slope fit window empty
     if not cfg.fit_floor > cfg.tol:
         raise ValueError(f"fit_floor must exceed tol = {cfg.tol}, got {cfg.fit_floor}")
-    if len(set(cfg.methods)) < len(cfg.methods):
-        raise ValueError(f"methods must be distinct, got {','.join(cfg.methods)}")
+    # a repeated seed would be run, written and counted twice
+    for name in ("methods", "seed_list"):
+        values = getattr(cfg, name)
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must be distinct, got {','.join(map(str, values))}")
 
 
 def theory_m(n: int, c: float = 10.0) -> int:
@@ -204,7 +201,7 @@ def _single_run(cfg: ExperimentConfig, n: int, m: int, seed: int, method) -> Ite
         default_params(n, float(np.linalg.norm(x0)), method), cfg.eta, cfg.beta,
         max_iters=cfg.max_iters, tol=cfg.tol,
     )
-    return run(ens, y, x0, params, gt=gt, ric=cfg.ric())
+    return run(ens, y, x0, params, gt=gt)
 
 
 def write_trace(path: str, trace: IterationTrace) -> None:
@@ -252,7 +249,7 @@ def headtohead_slope(cfg: ExperimentConfig, n: int, m: int, seed: int):
             theory_params(n, norm_x0, method), cfg.eta, cfg.beta,
             max_iters=cfg.max_iters, tol=cfg.tol,
         )
-        traces.append(run(ens, y, x0, params, gt=gt, ric=cfg.ric()))
+        traces.append(run(ens, y, x0, params, gt=gt))
     trace_a, trace_b = traces
     statuses = (trace_a.status, trace_b.status)
     if not (trace_a.converged and trace_b.converged):
@@ -344,16 +341,17 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 def cmd_loo(cfg: ExperimentConfig) -> int:
     n, seed = cfg.n_list[0], cfg.seed_list[0]
     m = _sample_count(cfg, n)
+    # the O(m^2 n T) cost guard: m is refused before anything is sampled,
+    # and the step count is clamped to the budget
+    if m > cfg.loo_budget_m:
+        raise CapabilityError(f"leave-one-out budget allows m <= {cfg.loo_budget_m}, got {m}")
     method = cfg.methods[0]
     ens, gt, y, x0 = _problem(cfg, n, m, seed)
     params = override_params(
         default_params(n, float(np.linalg.norm(x0)), method), cfg.eta, cfg.beta,
         max_iters=min(cfg.max_iters, cfg.loo_budget_iters), tol=cfg.tol,
     )
-    bundle = loo_run(
-        ens, y, x0, params, gt,
-        cfg=cfg.ric(), budget_m=cfg.loo_budget_m, budget_iters=cfg.loo_budget_iters,
-    )
+    bundle = loo_run(ens, y, x0, params, gt)
     rows = [
         (t, bundle.proximity[t], bundle.threshold, bundle.proximity[t] <= bundle.threshold)
         for t in range(bundle.proximity.shape[0])

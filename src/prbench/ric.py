@@ -9,34 +9,28 @@ pair of consecutive iterate errors for the two momentum methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import GroundTruth, SensingEnsemble, align_sign, dist
 
-
-@dataclass(frozen=True)
-class RicConfig:
-    """Constants for locality (c1), incoherence (c2), leave-one-out (c3)."""
-
-    c1: float = 0.3
-    c2: float = 5.0
-    c3: float = 5.0
-
-    def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 > 0 and self.c3 > 0):
-            raise ValueError("RIC constants must be positive")
+# region constants of the analysis: locality radius 2 c1 ||x*||, incoherence
+# bound c2 sqrt(log n) ||x*||, leave-one-out threshold c3 sqrt(log n / n)
+C1, C2, C3 = 0.3, 5.0, 5.0
 
 
-def loc_radius(gt: GroundTruth, cfg: RicConfig) -> float:
-    return 2.0 * cfg.c1 * gt.norm
+def loc_radius(gt: GroundTruth) -> float:
+    return 2.0 * C1 * gt.norm
 
 
-def inc_bound(n: int, gt: GroundTruth, cfg: RicConfig) -> float:
+def inc_bound(n: int, gt: GroundTruth) -> float:
     if n < 2:
         raise ValueError("incoherence bound needs n >= 2 (log n degenerate)")
-    return cfg.c2 * math.sqrt(math.log(n)) * gt.norm
+    return C2 * math.sqrt(math.log(n)) * gt.norm
+
+
+def loo_threshold(n: int) -> float:
+    return C3 * math.sqrt(math.log(n) / n)
 
 
 def incoherence(ens: SensingEnsemble, delta) -> float:
@@ -47,17 +41,15 @@ def incoherence(ens: SensingEnsemble, delta) -> float:
     return float(np.max(np.abs(ens.rows @ delta)))
 
 
-def check_loc(x, gt: GroundTruth, cfg: RicConfig) -> bool:
+def check_loc(x, gt: GroundTruth) -> bool:
     """Locality: dist(x, x_star) <= 2 c1 ||x_star|| (inclusive)."""
-    return dist(x, gt.x_star) <= loc_radius(gt, cfg)
+    return dist(x, gt.x_star) <= loc_radius(gt)
 
 
-def check_inc(
-    x, gt: GroundTruth, ens: SensingEnsemble, cfg: RicConfig
-) -> tuple[bool, float]:
+def check_inc(x, gt: GroundTruth, ens: SensingEnsemble) -> tuple[bool, float]:
     """Incoherence of the sign-aligned error; returns (ok, max incoherence)."""
     x = np.asarray(x, dtype=float)
-    bound = inc_bound(ens.n, gt, cfg)
+    bound = inc_bound(ens.n, gt)
     s = align_sign(x, gt.x_star)
     value = incoherence(ens, x - s * gt.x_star)
     return value <= bound, value

@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import GroundTruth, SensingEnsemble, align_sign
 from .objective import gradient_kernel
-from .ric import RicConfig, inc_bound, loc_radius
+from .ric import inc_bound, loc_radius
 
 
 class Method(str, enum.Enum):
@@ -70,8 +70,7 @@ class IterationTrace:
     column).  `paired_norm[t]` is the norm of the stacked pair
     (x^t - s x_star, x^{t-1} - s x_star) with x^{-1} taken as x^0, and
     `contraction_ratio[t]` is paired_norm[t] / paired_norm[t-1] (nan at
-    t = 0).  When no ground truth was supplied the dist, incoherence, and
-    pair columns are nan and the RIC flags are False.
+    t = 0).
     """
 
     iters: np.ndarray
@@ -163,16 +162,14 @@ def run(
     y,
     x0,
     params: SolverParams,
-    gt: GroundTruth | None = None,
-    ric: RicConfig | None = None,
+    gt: GroundTruth,
     keep_history: bool = False,
 ) -> IterationTrace:
     """Drive the chosen method and record the per-iteration trace.
 
-    Stops when dist <= tol (ground truth given) or ||grad|| <= tol
-    (otherwise), when max_iters is exhausted, or on divergence (cost above
-    DIVERGENCE_CAP or a non-finite iterate); divergence is a status, never
-    an exception.
+    Stops when the sign-invariant distance to x_star is at most tol, when
+    max_iters is exhausted, or on divergence (cost above DIVERGENCE_CAP or a
+    non-finite iterate); divergence is a status, never an exception.
     """
     y = np.asarray(y, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -180,20 +177,15 @@ def run(
         raise ValueError(f"observations have shape {y.shape}, expected ({ens.m},)")
     if x0.shape != (ens.n,):
         raise ValueError(f"start point has shape {x0.shape}, expected ({ens.n},)")
-    if ric is None:
-        ric = RicConfig()
+    if gt.x_star.shape != (ens.n,):
+        raise ValueError("ground truth dimension mismatch")
 
     rows, m = ens.rows, ens.m
     grad_fn = lambda x: gradient_kernel(rows, y, x, m)
 
-    if gt is not None:
-        if gt.x_star.shape != (ens.n,):
-            raise ValueError("ground truth dimension mismatch")
-        sign = align_sign(x0, gt.x_star)
-        target = sign * gt.x_star
-        target_proj = rows @ target
-    else:
-        sign = 1.0
+    sign = align_sign(x0, gt.x_star)
+    target = sign * gt.x_star
+    target_proj = rows @ target
 
     # per iterate, only the columns that need the iterate itself; the flags
     # and pair columns are derived from them after the loop
@@ -212,16 +204,12 @@ def run(
             grad_value = rows.T @ (resid * proj) / m
             cost.append(cost_value)
             grad_norm.append(float(np.linalg.norm(grad_value)))
-            if gt is None:
-                stop_metric = grad_norm[-1]
-            else:
-                dist.append(float(np.linalg.norm(x_curr - target)))
-                max_inc.append(float(np.max(np.abs(proj - target_proj))))
-                stop_metric = min(dist[-1], float(np.linalg.norm(x_curr + target)))
+            dist.append(float(np.linalg.norm(x_curr - target)))
+            max_inc.append(float(np.max(np.abs(proj - target_proj))))
             if not math.isfinite(cost_value) or cost_value > DIVERGENCE_CAP:
                 status = Status.DIVERGED
                 break
-            if stop_metric <= params.tol:
+            if min(dist[-1], float(np.linalg.norm(x_curr + target))) <= params.tol:
                 status = Status.CONVERGED
                 break
             if t >= params.max_iters:
@@ -238,30 +226,20 @@ def run(
                 history.append(x_new)
             t += 1
 
-    rows_out = len(cost)
-    if gt is None:
-        dist = np.full(rows_out, np.nan)
-        max_inc = np.full(rows_out, np.nan)
-        loc_ok = np.zeros(rows_out, dtype=bool)
-        inc_ok = np.zeros(rows_out, dtype=bool)
-        paired = np.full(rows_out, np.nan)
-    else:
-        # math.hypot, not np.hypot: the two differ in the last bit
-        paired = np.array([math.hypot(d, d_prev) for d, d_prev in zip(dist, dist[:1] + dist)])
-        dist = np.asarray(dist, dtype=float)
-        max_inc = np.asarray(max_inc, dtype=float)
-        loc_ok = dist <= loc_radius(gt, ric)
-        inc_ok = max_inc <= (inc_bound(ens.n, gt, ric) if ens.n >= 2 else np.inf)
+    # math.hypot, not np.hypot: the two differ in the last bit
+    paired = np.array([math.hypot(d, d_prev) for d, d_prev in zip(dist, dist[:1] + dist)])
+    dist = np.asarray(dist, dtype=float)
+    max_inc = np.asarray(max_inc, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.concatenate([[np.nan], paired[1:] / paired[:-1]])
     return IterationTrace(
-        iters=np.arange(rows_out),
+        iters=np.arange(len(cost)),
         dist=dist,
         cost=np.asarray(cost, dtype=float),
         grad_norm=np.asarray(grad_norm, dtype=float),
         max_incoherence=max_inc,
-        loc_ok=loc_ok,
-        inc_ok=inc_ok,
+        loc_ok=dist <= loc_radius(gt),
+        inc_ok=max_inc <= (inc_bound(ens.n, gt) if ens.n >= 2 else np.inf),
         paired_norm=paired,
         contraction_ratio=ratio,
         status=status,

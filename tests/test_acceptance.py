@@ -210,7 +210,7 @@ def test_c08_leave_one_out_proximity_and_independence():
                 pb.default_params(n, float(np.linalg.norm(x0)), method),
                 max_iters=500,
             )
-            bundle = loo_run(ens, y, x0, params, gt, budget_m=m)
+            bundle = loo_run(ens, y, x0, params, gt)
             worst = max(worst, float(bundle.proximity.max()))
     # independence: poisoning row ell leaves sequence ell bit-identical
     ens, gt, y, x0 = make_problem(n, m, 0)
@@ -234,12 +234,11 @@ def test_c09_hessian_bounds_at_ric_points():
     n = 64
     m = theory_m(n)
     upper = 20.0 * math.log(n)
-    cfg = pb.RicConfig()
     lmin_worst, lmax_worst = math.inf, 0.0
     for seed in range(20):
         ens, gt, y, x0 = make_problem(n, m, seed)
-        assert pb.check_loc(x0, gt, cfg)
-        ok_inc, _ = pb.check_inc(x0, gt, ens, cfg)
+        assert pb.check_loc(x0, gt)
+        ok_inc, _ = pb.check_inc(x0, gt, ens)
         assert ok_inc
         lmin, lmax = hessian_extremes(ens, y, x0)
         lmin_worst = min(lmin_worst, lmin)

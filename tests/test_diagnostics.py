@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import prbench as pb
-from prbench.diagnostics import loo_sequence, loo_threshold, quadratic_parameters
-from prbench.errors import CapabilityError
+from prbench.diagnostics import loo_sequence, quadratic_parameters
 from prbench.objective import hessian
+from prbench.ric import loo_threshold
 from prbench.solvers import Method
 
 from conftest import make_problem
@@ -101,17 +101,6 @@ class TestLooRun:
         seq = loo_sequence(ens, y, x0, params, 0, 10)
         assert np.array_equal(seq, np.tile(x0, (11, 1)))
 
-    def test_budget_errors(self):
-        big = pb.sample_ensemble(300, 4, seed=0)
-        gt = pb.random_ground_truth(4, 0)
-        y = pb.observe(big, gt).y
-        params = pb.SolverParams(method=Method.GD, eta=0.01, max_iters=10)
-        with pytest.raises(CapabilityError):
-            pb.loo_run(big, y, np.zeros(4), params, gt)
-        long_params = pb.SolverParams(method=Method.GD, eta=0.01, max_iters=1000)
-        with pytest.raises(CapabilityError):
-            pb.loo_run(self.ens, self.y, self.x0, long_params, self.gt)
-
     def test_nan_poisoning_leaves_own_sequence_unchanged(self):
         steps = 40
         clean = loo_sequence(self.ens, self.y, self.x0, self.params, 5, steps)
@@ -144,11 +133,8 @@ class TestLooRun:
         assert bundle.proximity[t] == pytest.approx(by_hand, rel=1e-12)
 
     def test_threshold_value(self):
-        cfg = pb.RicConfig()
-        assert loo_threshold(100, cfg) == pytest.approx(
-            5.0 * math.sqrt(math.log(100) / 100)
-        )
-        assert loo_threshold(100, cfg) == pytest.approx(1.0729830131446736)
+        assert loo_threshold(100) == pytest.approx(5.0 * math.sqrt(math.log(100) / 100))
+        assert loo_threshold(100) == pytest.approx(1.0729830131446736)
 
 
 class TestLooIncoherenceChain:

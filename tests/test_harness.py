@@ -306,6 +306,17 @@ class TestCli:
         assert err.startswith("prbench: leave-one-out budget")
         assert "Traceback" not in err
 
+    def test_loo_clamps_iterations_to_budget(self, tmp_path):
+        out = tmp_path / "loo.csv"
+        code = cli.main([
+            "loo", "--n_list", "16", "--m_list", "32", "--seed_list", "1",
+            "--methods", "polyak", "--max_iters", "1000", "--loo_budget_iters", "5",
+            "--out", str(out),
+        ])
+        assert code in (0, 1)
+        rows = [line for line in out.read_text().splitlines()[1:] if not line.startswith("#")]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(6))
+
     @pytest.mark.parametrize("argv", [
         ["run", "--seed_list", "-1"],
         ["run", "--seed_list", "18446744073709551616"],
@@ -332,6 +343,9 @@ class TestCli:
         ["cdp", "--methods", "gd,gd", "--cdp_size", "8", "--mask_count", "2",
          "--cdp_iters", "2"],
         ["sweep", "--methods", "gd,gd", "--n_list", "10", "--m_list", "50"],
+        ["sweep", "--n_list", "10", "--m_list", "100", "--seed_list", "0,0", "--methods", "gd"],
+        ["headtohead", "--n_list", "16", "--seed_list", "1,1"],
+        ["oracle", "--kappa", "inf", "--oracle_steps", "100"],
     ])
     def test_out_of_range_input_exits_two(self, tmp_path, capsys, argv):
         # rejected while validating the config, before any output exists

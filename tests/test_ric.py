@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import prbench as pb
-from prbench.ric import inc_bound, loc_radius
+from prbench.ric import C1, C2, C3, inc_bound, loc_radius
 
 from conftest import make_problem
 
@@ -14,51 +14,44 @@ def problem():
     return make_problem(16, 320, 4)
 
 
-CFG = pb.RicConfig()
-
-
 class TestRicConfig:
     def test_defaults(self):
-        assert (CFG.c1, CFG.c2, CFG.c3) == (0.3, 5.0, 5.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            pb.RicConfig(c1=0.0)
+        assert (C1, C2, C3) == (0.3, 5.0, 5.0)
 
 
 class TestCheckLoc:
     def test_at_truth(self, problem):
         _, gt, _, _ = problem
-        assert pb.check_loc(gt.x_star, gt, CFG)
+        assert pb.check_loc(gt.x_star, gt)
 
     def test_outside_radius(self, problem):
         _, gt, _, _ = problem
         e1 = np.zeros(16)
         e1[0] = 1.0
-        far = gt.x_star + 3.0 * CFG.c1 * gt.norm * e1
-        assert not pb.check_loc(far, gt, CFG)
+        far = gt.x_star + 3.0 * C1 * gt.norm * e1
+        assert not pb.check_loc(far, gt)
 
     def test_boundary_inclusive(self, problem):
         _, gt, _, _ = problem
         e1 = np.zeros(16)
         e1[0] = 1.0
-        edge = gt.x_star + 2.0 * CFG.c1 * gt.norm * e1
-        assert pb.check_loc(edge, gt, CFG)
+        edge = gt.x_star + 2.0 * C1 * gt.norm * e1
+        assert pb.check_loc(edge, gt)
 
 
 class TestCheckInc:
     def test_at_truth(self, problem):
         ens, gt, _, _ = problem
-        ok, value = pb.check_inc(gt.x_star, gt, ens, CFG)
+        ok, value = pb.check_inc(gt.x_star, gt, ens)
         assert ok and value == 0.0
 
     def test_constructed_violation(self, problem):
         ens, gt, _, _ = problem
         a1 = ens.rows[0]
-        delta = a1 / np.linalg.norm(a1) * CFG.c2 * math.sqrt(math.log(16)) * 2.0
-        ok, value = pb.check_inc(gt.x_star + delta, gt, ens, CFG)
+        delta = a1 / np.linalg.norm(a1) * C2 * math.sqrt(math.log(16)) * 2.0
+        ok, value = pb.check_inc(gt.x_star + delta, gt, ens)
         assert not ok
-        assert value > inc_bound(16, gt, CFG)
+        assert value > inc_bound(16, gt)
 
     def test_spectral_points_incoherent(self):
         # spectral starts at theory-scale sampling stay incoherent
@@ -66,14 +59,14 @@ class TestCheckInc:
         m = int(round(10 * n * math.log(n)))
         for seed in range(20):
             ens, gt, y, x0 = make_problem(n, m, seed)
-            ok, _ = pb.check_inc(x0, gt, ens, CFG)
+            ok, _ = pb.check_inc(x0, gt, ens)
             assert ok
 
     def test_rejects_tiny_n(self):
         ens = pb.sample_ensemble(4, 1, seed=0)
         gt = pb.ground_truth([1.0])
         with pytest.raises(ValueError):
-            pb.check_inc(np.array([2.0]), gt, ens, CFG)
+            pb.check_inc(np.array([2.0]), gt, ens)
 
 
 class TestContractionMatrices:
@@ -123,5 +116,5 @@ class TestContractionMatrices:
 def test_loc_radius_and_inc_bound_scale_with_norm():
     gt2 = pb.ground_truth(2.0 * pb.sample_unit_sphere(8, 0))
     gt1 = pb.ground_truth(pb.sample_unit_sphere(8, 0))
-    assert loc_radius(gt2, CFG) == pytest.approx(2.0 * loc_radius(gt1, CFG))
-    assert inc_bound(8, gt2, CFG) == pytest.approx(2.0 * inc_bound(8, gt1, CFG))
+    assert loc_radius(gt2) == pytest.approx(2.0 * loc_radius(gt1))
+    assert inc_bound(8, gt2) == pytest.approx(2.0 * inc_bound(8, gt1))

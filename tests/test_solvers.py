@@ -34,7 +34,7 @@ def scalar_recursion(method, mu, L, eta, beta, steps):
 
 def tiny_problem():
     ens = pb.SensingEnsemble(rows=np.array([[1.0]]), seed=0)
-    return ens, np.array([1.0])
+    return ens, np.array([1.0]), pb.ground_truth([1.0])
 
 
 def grad_of(ens, y):
@@ -46,9 +46,9 @@ class TestSteps:
 
     def test_gd_single_coordinate(self):
         # gradient at x=2 is 6, so x moves to 2 - 0.1 * 6 = 1.4
-        ens, y = tiny_problem()
+        ens, y, gt = tiny_problem()
         params = pb.SolverParams(method=Method.GD, eta=0.1, max_iters=1)
-        trace = pb.run(ens, y, np.array([2.0]), params, keep_history=True)
+        trace = pb.run(ens, y, np.array([2.0]), params, gt=gt, keep_history=True)
         assert trace.history[1] == pytest.approx([1.4])
         assert np.array_equal(trace.history[0], [2.0])
 
@@ -229,9 +229,9 @@ class TestRun:
 
     def test_overflowing_step_diverges(self):
         # the first step overflows to -inf; the run stops after one row
-        ens, y = tiny_problem()
+        ens, y, gt = tiny_problem()
         params = pb.SolverParams(method=Method.GD, eta=1e308)
-        trace = pb.run(ens, y, np.array([2.0]), params)
+        trace = pb.run(ens, y, np.array([2.0]), params, gt=gt)
         assert trace.status is Status.DIVERGED
         assert trace.iters.shape[0] == 1
 
@@ -242,21 +242,13 @@ class TestRun:
         assert trace.status is Status.MAX_ITERS
         assert trace.iters.shape[0] == 6
 
-    def test_gradient_norm_stopping_without_gt(self):
-        ens, _, y, x0 = make_problem(10, 200, 0)
-        params = pb.default_params(10, float(np.linalg.norm(x0)), Method.GD)
-        trace = pb.run(ens, y, x0, params)
-        assert trace.status is Status.CONVERGED
-        assert trace.grad_norm[-1] <= params.tol
-        assert np.isnan(trace.dist).all()
-
     def test_cold_start_first_step_matches_gd_step(self, small_problem):
-        ens, _, y, x0 = small_problem
+        ens, gt, y, x0 = small_problem
         eta = 0.01
         expected = momentum_step(Method.GD, x0, x0, grad_of(ens, y), eta, 0.0)
         for method, beta in ((Method.GD, 0.0), (Method.POLYAK, 0.6), (Method.NESTEROV, 0.6)):
             params = pb.SolverParams(method=method, eta=eta, beta=beta, max_iters=1)
-            trace = pb.run(ens, y, x0, params, keep_history=True)
+            trace = pb.run(ens, y, x0, params, gt=gt, keep_history=True)
             assert np.array_equal(trace.history[1], expected)
 
     def test_paired_norm_and_ratio_columns(self):
