@@ -8,11 +8,6 @@ from .diagnostics import (
     loo_run,
     quadratic_oracle,
 )
-from .errors import (
-    CapabilityError,
-    DegenerateSpectrumError,
-    PowerIterationError,
-)
 from .model import (
     GroundTruth,
     Observations,
@@ -43,15 +38,12 @@ from .solvers import (
 from .spectral import SpectralReport, leading_eigenpair, random_init, spectral_init
 
 __all__ = [
-    "CapabilityError",
     "ConcentrationReport",
-    "DegenerateSpectrumError",
     "GroundTruth",
     "IterationTrace",
     "LooBundle",
     "Method",
     "Observations",
-    "PowerIterationError",
     "SensingEnsemble",
     "SolverParams",
     "SpectralReport",

@@ -1,17 +1,16 @@
-"""Command line front-end: prbench <subcommand> --config <path> [--key value ...].
+"""Command line front-end: prbench <subcommand> [--config <path>] [--key value ...].
 
 Exit codes: 0 on success, 1 when an output carries a failed pass flag,
-2 on usage, input-range, capability or I/O errors (one `prbench: ...` line
-on stderr).
+2 on usage, input-range or I/O errors (one `prbench: ...` line on stderr).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
-from .errors import CapabilityError, DegenerateSpectrumError, PowerIterationError
 from .harness import COMMANDS, make_config, parse_config
+
+USAGE = f"usage: prbench {{{','.join(COMMANDS)}}} [--config PATH] [--key value ...]"
 
 
 def _parse_overrides(tokens: list[str]) -> dict[str, str]:
@@ -26,33 +25,23 @@ def _parse_overrides(tokens: list[str]) -> dict[str, str]:
     return overrides
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="prbench",
-        description="Phase retrieval experiment harness",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=f"run the {name} experiment")
-        cmd.add_argument("--config", default=None, help="flat key=value config file")
-    return parser
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return 0
     try:
+        if not argv or argv[0] not in COMMANDS:
+            got = repr(argv[0]) if argv else "nothing"
+            raise ValueError(f"expected a subcommand ({', '.join(COMMANDS)}), got {got}")
         # the defaults, then the file's lines, then the flags; one check
-        overrides = _parse_overrides(extra)
-        values = {}
-        if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                values = parse_config(fh.read())
-        values.update(overrides)
-        return COMMANDS[args.command](make_config(values))
-    except (
-        ValueError, OSError, CapabilityError, PowerIterationError, DegenerateSpectrumError,
-    ) as exc:
+        values = _parse_overrides(argv[1:])
+        path = values.pop("config", None)
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                values = {**parse_config(fh.read()), **values}
+        return COMMANDS[argv[0]](make_config(values))
+    except (ValueError, OSError) as exc:
         print(f"prbench: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapabilityError
 from .model import SensingEnsemble
 
 # beyond this dimension the dense Hessian is refused
@@ -47,7 +46,7 @@ def hessian(ens: SensingEnsemble, y, x) -> np.ndarray:
     """Dense n x n Hessian, symmetrized; refuses n > DENSE_LIMIT."""
     y, x = _check_inputs(ens, y, x)
     if ens.n > DENSE_LIMIT:
-        raise CapabilityError(
+        raise ValueError(
             f"dense Hessian limited to n <= {DENSE_LIMIT} (got n={ens.n})"
         )
     p = ens.rows @ x

@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .errors import DegenerateSpectrumError, PowerIterationError
 from .model import SensingEnsemble, unit_sphere
 
 _POWER_STREAM = rng.label_stream("power-iteration")
@@ -74,10 +73,10 @@ def leading_eigenpair(
             return PowerResult(lam, v, k, residual)
         nw = np.linalg.norm(w)
         if nw == 0:
-            raise DegenerateSpectrumError("operator annihilated the iterate")
+            raise ValueError("operator annihilated the iterate")
         v = w / nw
         lam_prev = lam
-    raise PowerIterationError(
+    raise ValueError(
         f"power iteration did not converge in {max_iters} iterations "
         f"(last residual {residual:.3e})"
     )
@@ -104,7 +103,7 @@ def spectral_init(ens: SensingEnsemble, y) -> SpectralReport:
     v0 = rng.normals(ens.seed, _POWER_STREAM, ens.n)
     result = leading_eigenpair(matvec, v0, tol=1e-10, max_iters=1000)
     if result.eigenvalue <= 0:
-        raise DegenerateSpectrumError(
+        raise ValueError(
             f"leading eigenvalue {result.eigenvalue:.3e} is not positive"
         )
     v = _canonical_sign(result.vector)

@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from prbench.harness import (
     parse_config,
     theory_m,
 )
+from prbench.pgm import write_pgm
 
 
 class TestConfig:
@@ -234,6 +236,20 @@ class TestCli:
     def test_unknown_key_exit_two(self, capsys):
         assert cli.main(["run", "--frobnicate", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["run", "--config"]])
+    def test_usage_error_returns_two_with_one_line(self, capsys, argv):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("prbench: ")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["run", "--help"]])
+    def test_help_prints_usage_line_and_returns_zero(self, capsys, argv):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert all(name in out for name in cli.COMMANDS)
+
     def test_run_via_cli(self, tmp_path):
         out = tmp_path / "cli.csv"
         code = cli.main([
@@ -284,6 +300,30 @@ class TestCli:
         out = tmp_path / "o.csv"
         assert cli.main(["oracle", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--kappa", "1e4"], 0),
+        (["--kappa", "1e17", "--oracle_steps", "100"], 1),
+    ])
+    def test_oracle_bound_never_exceeds_one(self, tmp_path, argv, code):
+        # near rate 1 the rate plus its slack exceeds 1; the cap keeps the
+        # flag from passing heavy ball's ratio 1.014 at kappa = 1e17
+        out = tmp_path / "oracle.csv"
+        assert cli.main(["oracle"] + argv + ["--out", str(out)]) == code
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert all(float(bound) <= 1.0 for _, _, bound, _ in rows)
+        assert all(ok == "0" for _, ratio, _, ok in rows if float(ratio) >= 1.0)
+
+    def test_degenerate_spectrum_exits_two(self, tmp_path, capsys):
+        # an all-black image annihilates the CDP power iterate
+        image = tmp_path / "black.pgm"
+        write_pgm(str(image), np.zeros((8, 8)))
+        out = tmp_path / "cdp"
+        code = cli.main(["cdp", "--image", str(image), "--mask_count", "2",
+                         "--cdp_iters", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "prbench: operator annihilated the iterate\n"
+        assert not out.exists()
+
     def test_failed_flag_exits_one_via_cli(self, tmp_path):
         # the m=256, seed 4 leave-one-out violation, pinned here and in
         # TestWrappedCommands.test_loo_failed_flag_exits_one because
@@ -297,7 +337,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["loo", "--n_list", "20", "--m_list", "300"],
-        ["loo", "--n_list", "16", "--m_list", "32", "--loo_budget_m", "-1"],
+        ["loo", "--n_list", "16", "--m_list", "32", "--loo_budget_m", "31"],
     ])
     def test_capability_error_exits_two(self, tmp_path, capsys, argv):
         code = cli.main(argv + ["--out", str(tmp_path / "loo.csv")])
@@ -346,6 +386,8 @@ class TestCli:
         ["sweep", "--n_list", "10", "--m_list", "100", "--seed_list", "0,0", "--methods", "gd"],
         ["headtohead", "--n_list", "16", "--seed_list", "1,1"],
         ["oracle", "--kappa", "inf", "--oracle_steps", "100"],
+        ["loo", "--n_list", "16", "--m_list", "32", "--loo_budget_m", "-1"],
+        ["run", "--n_list", "10", "--m_list", "50", "--loo_budget_iters", "-1"],
     ])
     def test_out_of_range_input_exits_two(self, tmp_path, capsys, argv):
         # rejected while validating the config, before any output exists
@@ -372,7 +414,7 @@ class TestCli:
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    command=st.sampled_from(sorted(cli.COMMANDS)),
+    command=st.sampled_from(sorted(cli.COMMANDS) + ["bogus"]),
     n_list=st.lists(st.integers(2, 8), min_size=1, max_size=3),
     m_list=st.lists(st.integers(1, 30), min_size=1, max_size=3),
     max_iters=st.integers(0, 30),
@@ -387,10 +429,11 @@ class TestCli:
     cdp_iters=st.integers(0, 5),
     eta=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-3", "0.5", "1", "1.5"]),
     beta=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-3", "0.5", "1", "1.5"]),
+    drop_last=st.booleans(),
 )
 def test_cli_fuzz_exit_contract(tmp_path, command, n_list, m_list, max_iters,
                                 oracle_steps, seed, kappa, methods, init,
-                                cdp_size, mask_count, cdp_iters, eta, beta):
+                                cdp_size, mask_count, cdp_iters, eta, beta, drop_last):
     # every input ends in exit 0, 1 or 2; an escaping exception fails the test
     def joined(values):
         return ",".join(str(v) for v in values)
@@ -408,6 +451,8 @@ def test_cli_fuzz_exit_contract(tmp_path, command, n_list, m_list, max_iters,
         for key, value in (("--eta", eta), ("--beta", beta)):
             if value is not None:
                 argv += [key, value]
+        if drop_last:
+            argv = argv[:-1]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main(argv)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prbench as pb
-from prbench.errors import CapabilityError
 from prbench.objective import cost, gradient, hessian, hessian_extremes
 
 from conftest import make_problem
@@ -116,7 +115,7 @@ class TestHessian:
     def test_dense_limit(self):
         ens = pb.sample_ensemble(4, 513, seed=0)
         for fn in (hessian, hessian_extremes):
-            with pytest.raises(CapabilityError, match="n <= 512"):
+            with pytest.raises(ValueError, match="n <= 512"):
                 fn(ens, np.ones(4), np.zeros(513))
 
 

@@ -47,3 +47,16 @@ def test_readme_cli_matches_config():
         assert set(re.findall(r"--(\w+)", args)) <= keys, args
     listed = re.search(r"Subcommands: (.*?)\.", text, flags=re.S).group(1)
     assert set(re.findall(r"`(\w+)`", listed)) == set(cli.COMMANDS)
+
+
+def test_every_raise_is_a_cli_error_type():
+    # cli.main maps ValueError and OSError to exit 2; a raise of any other
+    # type would escape it as a traceback
+    package = pathlib.Path(pb.__file__).parent
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc) if exc is not None else "bare raise")
+    assert raised <= {"ValueError", "OSError"}, raised
