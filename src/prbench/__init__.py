@@ -10,7 +10,6 @@ from .diagnostics import (
 )
 from .model import (
     GroundTruth,
-    Observations,
     SensingEnsemble,
     dist,
     ground_truth,
@@ -43,7 +42,6 @@ __all__ = [
     "IterationTrace",
     "LooBundle",
     "Method",
-    "Observations",
     "SensingEnsemble",
     "SolverParams",
     "SpectralReport",

@@ -17,7 +17,6 @@ import numpy as np
 
 from .model import GroundTruth, SensingEnsemble
 from .objective import gradient_kernel
-from .ric import loo_threshold
 from .solvers import Method, SolverParams, momentum_step, run
 
 
@@ -29,12 +28,11 @@ class LooBundle:
     over l of the stacked-pair norm
     ||(x^t - x^{t,(l)}, x^{t-1} - x^{t-1,(l)})||.  The iterate sequences
     themselves are not kept; `loo_sequence` regenerates any one of them.
+    The pass rule against `ric.loo_threshold` is the caller's.
     """
 
     dist_main: np.ndarray
     proximity: np.ndarray
-    threshold: float
-    within_threshold: bool
 
 
 def loo_sequence(
@@ -95,14 +93,7 @@ def loo_run(
     proximity = np.zeros(steps + 1)
     if steps >= 1:
         proximity[1:] = np.hypot(dist_main[:, 1:], dist_main[:, :-1]).max(axis=0)
-    threshold = loo_threshold(ens.n)
-    within = bool(np.all(proximity <= threshold))
-    return LooBundle(
-        dist_main=dist_main,
-        proximity=proximity,
-        threshold=threshold,
-        within_threshold=within,
-    )
+    return LooBundle(dist_main=dist_main, proximity=proximity)
 
 
 def quadratic_parameters(mu: float, L: float, method: Method) -> tuple[float, float]:

@@ -20,6 +20,7 @@ from . import cdp as cdp_mod
 from .diagnostics import concentration_report, loo_run, quadratic_oracle
 from .model import observe, random_ground_truth, sample_ensemble, sample_unit_sphere
 from .pgm import read_pgm, write_pgm
+from .ric import loo_threshold
 from .solvers import (
     IterationTrace,
     Method,
@@ -109,7 +110,13 @@ def make_config(values: dict[str, str]) -> ExperimentConfig:
     for key in values:
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-    cfg = ExperimentConfig(**{key: _parse_value(key, text) for key, text in values.items()})
+    parsed = {}
+    for key, text in values.items():
+        try:
+            parsed[key] = _parse_value(key, text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    cfg = ExperimentConfig(**parsed)
     validate_config(cfg)
     return cfg
 
@@ -186,12 +193,12 @@ def _write_csv(path, header, rows, comments=()):
 def _problem(cfg: ExperimentConfig, n: int, m: int, seed: int):
     ens = sample_ensemble(m, n, seed)
     gt = random_ground_truth(n, seed)
-    obs = observe(ens, gt)
+    y = observe(ens, gt)
     if cfg.init == "spectral":
-        x0 = spectral_init(ens, obs.y).x0
+        x0 = spectral_init(ens, y).x0
     else:
         x0 = random_init(n, seed)
-    return ens, gt, obs.y, x0
+    return ens, gt, y, x0
 
 
 def _single_run(cfg: ExperimentConfig, n: int, m: int, seed: int, method) -> IterationTrace:
@@ -350,14 +357,13 @@ def cmd_loo(cfg: ExperimentConfig) -> int:
         default_params(n, float(np.linalg.norm(x0)), method), cfg.eta, cfg.beta,
         max_iters=min(cfg.max_iters, cfg.loo_budget_iters), tol=cfg.tol,
     )
-    bundle = loo_run(ens, y, x0, params, gt)
-    rows = [
-        (t, bundle.proximity[t], bundle.threshold, bundle.proximity[t] <= bundle.threshold)
-        for t in range(bundle.proximity.shape[0])
-    ]
+    proximity = loo_run(ens, y, x0, params, gt).proximity
+    threshold = loo_threshold(n)
+    rows = [(t, p, threshold, p <= threshold) for t, p in enumerate(proximity)]
+    within = all(row[-1] for row in rows)
     _write_csv(cfg.out, ("iter", "proximity", "threshold", "ok"), rows,
-               comments=[f"within_threshold={int(bundle.within_threshold)}"])
-    return 0 if bundle.within_threshold else 1
+               comments=[f"within_threshold={int(within)}"])
+    return 0 if within else 1
 
 
 def cmd_oracle(cfg: ExperimentConfig) -> int:

@@ -44,18 +44,6 @@ class GroundTruth:
         return float(np.linalg.norm(self.x_star))
 
 
-@dataclass(frozen=True)
-class Observations:
-    """Nonnegative squared projections y_i = (a_i . x_star)^2."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.y)
-        if y.ndim != 1 or not np.all(np.isfinite(y)) or np.any(y < 0):
-            raise ValueError("observations must be a finite nonnegative vector")
-
-
 def sample_ensemble(m: int, n: int, seed: int) -> SensingEnsemble:
     """Draw an m x n standard normal ensemble; row i uses stream (seed, i)."""
     if m < 1 or n < 1:
@@ -90,16 +78,19 @@ def sample_unit_sphere(n: int, seed: int) -> np.ndarray:
     return unit_sphere(n, seed, _SPHERE_STREAM)
 
 
-def observe(ens: SensingEnsemble, gt: GroundTruth) -> Observations:
-    """Exact noiseless observations y_i = (a_i . x_star)^2."""
+def observe(ens: SensingEnsemble, gt: GroundTruth) -> np.ndarray:
+    """Exact noiseless observations y_i = (a_i . x_star)^2, read-only."""
     if ens.n != gt.x_star.shape[0]:
         raise ValueError(
             f"dimension mismatch: ensemble n={ens.n}, ground truth n={gt.x_star.shape[0]}"
         )
     proj = ens.rows @ gt.x_star
     y = proj * proj
+    # a square cannot be negative, but it can overflow
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observations must be finite")
     y.setflags(write=False)
-    return Observations(y=y)
+    return y
 
 
 def dist(x, x_star) -> float:

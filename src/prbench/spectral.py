@@ -8,7 +8,7 @@ the expected leading eigenvalue of Y is 3 ||x_star||^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -20,14 +20,6 @@ _POWER_STREAM = rng.label_stream("power-iteration")
 # distinct from the ground-truth sphere stream so a random start is
 # independent of the target drawn with the same seed
 _RANDOM_INIT_STREAM = rng.label_stream("random-init")
-
-
-@dataclass(frozen=True)
-class PowerResult:
-    eigenvalue: float
-    vector: np.ndarray
-    iters: int
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -43,8 +35,11 @@ def leading_eigenpair(
     v0: np.ndarray,
     tol: float = 1e-10,
     max_iters: int = 1000,
-) -> PowerResult:
+) -> SpectralReport:
     """Power iteration for the leading eigenpair of a symmetric PSD operator.
+
+    The report's `x0` is the unit eigenvector and `lambda1` its eigenvalue;
+    the initializers rescale `x0` into a starting point.
 
     Convergence requires both the Rayleigh-quotient change and the residual
     ||A v - lam v|| to drop below `tol` relative to |lam|; the residual
@@ -70,7 +65,7 @@ def leading_eigenpair(
         scale = max(abs(lam), 1e-300)
         settled = lam_prev is not None and abs(lam - lam_prev) <= tol * scale
         if settled and residual <= tol * scale:
-            return PowerResult(lam, v, k, residual)
+            return SpectralReport(x0=v, lambda1=lam, power_iters_used=k, residual=residual)
         nw = np.linalg.norm(w)
         if nw == 0:
             raise ValueError("operator annihilated the iterate")
@@ -101,19 +96,10 @@ def spectral_init(ens: SensingEnsemble, y) -> SpectralReport:
         return rows.T @ (y * (rows @ v)) / ens.m
 
     v0 = rng.normals(ens.seed, _POWER_STREAM, ens.n)
-    result = leading_eigenpair(matvec, v0, tol=1e-10, max_iters=1000)
-    if result.eigenvalue <= 0:
-        raise ValueError(
-            f"leading eigenvalue {result.eigenvalue:.3e} is not positive"
-        )
-    v = _canonical_sign(result.vector)
-    x0 = np.sqrt(result.eigenvalue / 3.0) * v
-    return SpectralReport(
-        x0=x0,
-        lambda1=result.eigenvalue,
-        power_iters_used=result.iters,
-        residual=result.residual,
-    )
+    report = leading_eigenpair(matvec, v0, tol=1e-10, max_iters=1000)
+    if report.lambda1 <= 0:
+        raise ValueError(f"leading eigenvalue {report.lambda1:.3e} is not positive")
+    return replace(report, x0=np.sqrt(report.lambda1 / 3.0) * _canonical_sign(report.x0))
 
 
 def random_init(n: int, seed: int) -> np.ndarray:

@@ -7,7 +7,7 @@ def make_problem(n, m, seed, init="spectral"):
     """Ensemble, ground truth, observations, and an initial point."""
     ens = pb.sample_ensemble(m, n, seed)
     gt = pb.random_ground_truth(n, seed)
-    y = pb.observe(ens, gt).y
+    y = pb.observe(ens, gt)
     if init == "spectral":
         x0 = pb.spectral_init(ens, y).x0
     else:

@@ -6,8 +6,9 @@ Criterion 8 checks the leave-one-out proximity bound at m = round(n log n)
 Its five spectral starts are incoherent but not local: each passes the
 incoherence check (max |a_l . (x0 - s x*)| from 4.50 to 7.84, within 10.73)
 but lies outside the locality radius 2 c1 ||x*|| = 0.6 (dist(x0, x*) from
-0.856 to 1.005), so the criterion checks the bound from incoherent,
-non-local starts rather than from the local region the analysis assumes.
+0.856 to 1.005; `test_ric.py` pins both ranges), so the criterion checks
+the bound from incoherent, non-local starts rather than from the local
+region the analysis assumes.
 It does not run at m=256, the default cost guard of `loo_run`: the bound is
 not claimed there, and it fails, because the spectral start of seed 4
 already breaks the incoherence predicate before the first step
@@ -76,10 +77,10 @@ def test_c02_spectral_population_oracle_and_monte_carlo():
     x_star = gt.x_star
     matvec = lambda v: v + 2.0 * x_star * (x_star @ v)
     res = leading_eigenpair(matvec, rng.normals(3, _POWER_STREAM, 5), tol=1e-10)
-    x0_pop = math.sqrt(res.eigenvalue / 3.0) * res.vector
+    x0_pop = math.sqrt(res.lambda1 / 3.0) * res.x0
     pop_dist = pb.dist(x0_pop, x_star)
     ens = pb.sample_ensemble(10**6, 5, seed=11)
-    y = pb.observe(ens, gt).y
+    y = pb.observe(ens, gt)
     mc_dist = pb.dist(pb.spectral_init(ens, y).x0, x_star)
     ok = pop_dist <= 1e-8 and mc_dist <= 0.01
     report(2, ok, f"population dist {pop_dist:.2e} <= 1e-8, Monte-Carlo dist {mc_dist:.4f} <= 0.01",

@@ -95,7 +95,7 @@ class TestLooRun:
         # removing the only row leaves the zero cost; GD never moves
         ens = pb.sample_ensemble(1, 4, seed=0)
         gt = pb.random_ground_truth(4, 0)
-        y = pb.observe(ens, gt).y
+        y = pb.observe(ens, gt)
         x0 = np.array([1.0, -2.0, 0.5, 0.25])
         params = pb.SolverParams(method=Method.GD, eta=0.1, max_iters=10)
         seq = loo_sequence(ens, y, x0, params, 0, 10)

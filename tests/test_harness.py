@@ -3,6 +3,7 @@ import io
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,26 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("prbench: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--n_list", "1e3"], "n_list"),
+        (["--max_iters", "1.5"], "max_iters"),
+        (["--tol", "abc"], "tol"),
+    ])
+    def test_unparsable_value_names_its_key(self, tmp_path, capsys, argv, key):
+        assert cli.main(["run"] + argv + ["--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"prbench: {key}: ")
+
+    def test_diverging_cdp_warns_nothing(self, tmp_path):
+        # overflow is how a diverging run shows itself; it is not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["cdp", "--cdp_size", "8", "--mask_count", "2",
+                             "--cdp_iters", "40", "--eta", "1e6",
+                             "--out", str(tmp_path / "cdp")])
+        assert code in (0, 1)
 
     def test_cdp_gd_keeps_zero_beta_under_override(self, tmp_path):
         common = ["cdp", "--methods", "gd,polyak", "--cdp_size", "8",

@@ -40,18 +40,18 @@ class TestObserve:
     def test_zero_signal(self):
         ens = pb.sample_ensemble(10, 4, seed=0)
         gt = pb.ground_truth(np.zeros(4))
-        assert np.array_equal(pb.observe(ens, gt).y, np.zeros(10))
+        assert np.array_equal(pb.observe(ens, gt), np.zeros(10))
 
     def test_single_entry(self):
         ens = pb.SensingEnsemble(rows=np.array([[1.0]]), seed=0)
         gt = pb.ground_truth([2.0])
-        assert pb.observe(ens, gt).y[0] == 4.0
+        assert pb.observe(ens, gt)[0] == 4.0
 
     def test_sign_invariance(self):
         ens = pb.sample_ensemble(20, 6, seed=2)
         gt = pb.random_ground_truth(6, 2)
         flipped = pb.ground_truth(-gt.x_star)
-        assert np.array_equal(pb.observe(ens, gt).y, pb.observe(ens, flipped).y)
+        assert np.array_equal(pb.observe(ens, gt), pb.observe(ens, flipped))
 
     def test_dimension_mismatch(self):
         ens = pb.sample_ensemble(5, 3, seed=0)
@@ -60,7 +60,7 @@ class TestObserve:
 
     def test_nonnegative(self):
         ens = pb.sample_ensemble(50, 8, seed=4)
-        assert (pb.observe(ens, pb.random_ground_truth(8, 4)).y >= 0).all()
+        assert (pb.observe(ens, pb.random_ground_truth(8, 4)) >= 0).all()
 
 
 class TestDist:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import prbench as pb
+from prbench.harness import theory_m
 from prbench.ric import C1, C2, C3, inc_bound, loc_radius
 
 from conftest import make_problem
@@ -61,6 +62,25 @@ class TestCheckInc:
             ens, gt, y, x0 = make_problem(n, m, seed)
             ok, _ = pb.check_inc(x0, gt, ens)
             assert ok
+
+    def test_c08_starts_incoherent_but_not_local(self):
+        # the five spectral starts of acceptance criterion 8 (n=100,
+        # m = round(n ln n) = 461, seeds 0-4), with the ranges its docstring
+        # and the README quote: incoherence 4.50-7.84 against 10.73, and
+        # dist(x0, x*) 0.856-1.005 against the locality radius 0.6
+        n = 100
+        m = theory_m(n, c=1.0)
+        incoherence, distance = [], []
+        for seed in range(5):
+            ens, gt, _, x0 = make_problem(n, m, seed)
+            ok, value = pb.check_inc(x0, gt, ens)
+            assert ok
+            assert not pb.check_loc(x0, gt)
+            incoherence.append(value)
+            distance.append(pb.dist(x0, gt.x_star))
+        assert m == 461
+        assert (round(min(incoherence), 2), round(max(incoherence), 2)) == (4.50, 7.84)
+        assert (round(min(distance), 3), round(max(distance), 3)) == (0.856, 1.005)
 
     def test_rejects_tiny_n(self):
         ens = pb.sample_ensemble(4, 1, seed=0)

@@ -21,8 +21,8 @@ class TestLeadingEigenpair:
         gt = pb.random_ground_truth(5, 3)
         v0 = rng.normals(3, _POWER_STREAM, 5)
         res = leading_eigenpair(population_matvec(gt.x_star), v0, tol=1e-10)
-        assert res.eigenvalue == pytest.approx(3.0, abs=1e-9)
-        x0 = math.sqrt(res.eigenvalue / 3.0) * res.vector
+        assert res.lambda1 == pytest.approx(3.0, abs=1e-9)
+        x0 = math.sqrt(res.lambda1 / 3.0) * res.x0
         assert pb.dist(x0, gt.x_star) <= 1e-8
 
     def test_nonconvergence_carries_residual(self):
