@@ -55,37 +55,33 @@ def sample_masks(shape, L: int, seed: int) -> CdpMasks:
     if L < 1 or n < 1:
         raise ValueError("need at least one mask and one signal entry")
     quarter_turns = np.array([1.0, 1.0j, -1.0, -1.0j])
-    masks = np.empty((L, n), dtype=complex)
-    for ell in range(L):
-        u = rng.uniforms(seed, rng.label_stream(f"cdp-mask-{ell}"), 2 * n)
-        b1 = quarter_turns[np.floor(4.0 * u[:n]).astype(int)]
-        b2 = np.where(u[n:] < 0.8, math.sqrt(2.0) / 2.0, math.sqrt(3.0))
-        masks[ell] = b1 * b2
+    streams = [rng.label_stream(f"cdp-mask-{ell}") for ell in range(L)]
+    u = rng._stream_uniforms(seed, streams, 2 * n)
+    b1 = quarter_turns[np.floor(4.0 * u[:, :n]).astype(int)]
+    b2 = np.where(u[:, n:] < 0.8, math.sqrt(2.0) / 2.0, math.sqrt(3.0))
+    masks = b1 * b2
     masks.setflags(write=False)
     return CdpMasks(masks=masks, shape=shape, seed=seed)
 
 
 def _forward(z: np.ndarray, masks: CdpMasks) -> np.ndarray:
-    """The L blocks DFT(d_l * z) as an (L, n) array; L counted FFTs."""
+    """The L blocks DFT(d_l * z) as an (L, n) array, from one batched
+    transform over the stacked (L, *shape) blocks; L FFTs counted."""
     global _fft_calls
-    out = np.empty((masks.L, masks.n), dtype=complex)
-    for ell in range(masks.L):
-        _fft_calls += 1
-        block = (masks.masks[ell] * z).reshape(masks.shape)
-        out[ell] = np.fft.fftn(block, norm="ortho").ravel()
-    return out
+    _fft_calls += masks.L
+    blocks = (masks.masks * z).reshape((masks.L,) + masks.shape)
+    out = np.fft.fftn(blocks, axes=tuple(range(1, blocks.ndim)), norm="ortho")
+    return out.reshape(masks.L, masks.n)
 
 
 def _adjoint(w: np.ndarray, masks: CdpMasks) -> np.ndarray:
     """sum_l conj(d_l) * IDFT(w_l) over the rows of an (L, n) array, summed in
-    mask order; L counted inverse FFTs."""
+    mask order, from one batched inverse transform; L FFTs counted."""
     global _fft_calls
-    out = np.zeros(masks.n, dtype=complex)
-    for ell in range(masks.L):
-        _fft_calls += 1
-        block = np.fft.ifftn(w[ell].reshape(masks.shape), norm="ortho").ravel()
-        out += np.conj(masks.masks[ell]) * block
-    return out
+    _fft_calls += masks.L
+    blocks = w.reshape((masks.L,) + masks.shape)
+    blocks = np.fft.ifftn(blocks, axes=tuple(range(1, blocks.ndim)), norm="ortho")
+    return (np.conj(masks.masks) * blocks.reshape(masks.L, masks.n)).sum(axis=0)
 
 
 def cdp_observe(z, masks: CdpMasks) -> np.ndarray:

@@ -35,6 +35,23 @@ class LooBundle:
     proximity: np.ndarray
 
 
+def _iterates(rows, y, x0, params: SolverParams, steps: int, m: int) -> np.ndarray:
+    """Exactly `steps` steps of the chosen method on the cost over `rows`
+    with normalization 1/m and no stopping rule; shape (steps + 1, n)."""
+    grad_fn = lambda x: gradient_kernel(rows, y, x, m)
+    out = np.empty((steps + 1, x0.shape[0]))
+    out[0] = x0
+    x_prev = x_curr = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
+            x_new = momentum_step(
+                params.method, x_curr, x_prev, grad_fn, params.eta, params.beta
+            )
+            x_prev, x_curr = x_curr, x_new
+            out[t] = x_curr
+    return out
+
+
 def loo_sequence(
     ens: SensingEnsemble, y, x0, params: SolverParams, ell: int, steps: int
 ) -> np.ndarray:
@@ -49,46 +66,29 @@ def loo_sequence(
     if not 0 <= ell < ens.m:
         raise ValueError(f"row index {ell} outside [0, {ens.m})")
     rows_l = np.delete(ens.rows, ell, axis=0)
-    y_l = np.delete(y, ell)
-    grad_fn = lambda x: gradient_kernel(rows_l, y_l, x, ens.m)
-    out = np.empty((steps + 1, ens.n))
-    out[0] = x0
-    x_prev = x0
-    x_curr = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, steps + 1):
-            x_new = momentum_step(
-                params.method, x_curr, x_prev, grad_fn, params.eta, params.beta
-            )
-            x_prev, x_curr = x_curr, x_new
-            out[t] = x_curr
-    return out
+    return _iterates(rows_l, np.delete(y, ell), x0, params, steps, ens.m)
 
 
 def loo_run(
-    ens: SensingEnsemble,
-    y,
-    x0,
-    params: SolverParams,
-    gt: GroundTruth,
+    ens: SensingEnsemble, y, x0, params: SolverParams, gt: GroundTruth
 ) -> LooBundle:
     """Run the m leave-one-out sequences next to the main sequence.
 
-    The main run fixes the step count T; every sequence iterates exactly T
-    steps so the pairwise distances are time-aligned.  The cost is
-    O(m^2 n T).
+    The main run fixes the step count T, and its iterates are rebuilt by
+    the sequences' fixed-step loop, which reproduces `run`'s bit for bit.
+    Every sequence iterates exactly T steps so the pairwise distances are
+    time-aligned.  The cost is O(m^2 n T).
     """
     y = np.asarray(y, dtype=float)
     x0 = np.asarray(x0, dtype=float)
 
-    main = run(ens, y, x0, params, gt=gt, keep_history=True)
-    history = main.history
-    steps = history.shape[0] - 1
+    steps = run(ens, y, x0, params, gt=gt).n_steps
+    main = _iterates(ens.rows, y, x0, params, steps, ens.m)
 
     dist_main = np.zeros((ens.m, steps + 1))
     for ell in range(ens.m):
         seq = loo_sequence(ens, y, x0, params, ell, steps)
-        dist_main[ell] = np.linalg.norm(history - seq, axis=1)
+        dist_main[ell] = np.linalg.norm(main - seq, axis=1)
 
     proximity = np.zeros(steps + 1)
     if steps >= 1:

@@ -157,9 +157,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ValueError(f"{name} must be distinct, got {','.join(map(str, values))}")
 
 
-def theory_m(n: int, c: float = 10.0) -> int:
-    """Sample count m = round(c n log n) for the theory-regime experiments."""
-    return int(round(c * n * math.log(n)))
+def theory_m(n: int) -> int:
+    """Sample count m = round(10 n log n) for the theory-regime experiments."""
+    return int(round(10.0 * n * math.log(n)))
 
 
 def _sample_count(cfg: ExperimentConfig, n: int, idx: int = 0) -> int:
@@ -306,20 +306,16 @@ def cmd_slopes(cfg: ExperimentConfig) -> int:
 
 def sweep_cell(cfg: ExperimentConfig, n: int, m: int, method, out_dir=None):
     """Runs for one (n, m, method) cell over all seeds; returns the summary row."""
-    iters, diverged, converged = [], 0, 0
+    traces = []
     for seed in cfg.seed_list:
         trace = _single_run(cfg, n, m, seed, method)
         if out_dir is not None:
             name = f"n{n}_m{m}_{Method(method).value}_{cfg.init}_s{seed}.csv"
             write_trace(os.path.join(out_dir, name), trace)
-        if trace.status is Status.DIVERGED:
-            diverged += 1
-            iters.append(math.inf)
-        elif trace.converged:
-            converged += 1
-            iters.append(trace.n_steps)
-        else:
-            iters.append(math.inf)
+        traces.append(trace)
+    converged = sum(trace.converged for trace in traces)
+    diverged = sum(trace.status is Status.DIVERGED for trace in traces)
+    iters = [trace.n_steps if trace.converged else math.inf for trace in traces]
     median_iters = statistics.median(iters)
     return (
         n, m, Method(method).value, cfg.init, len(cfg.seed_list),
@@ -419,22 +415,17 @@ def cmd_cdp(cfg: ExperimentConfig) -> int:
         for method in cfg.methods
     ]
     os.makedirs(cfg.out, exist_ok=True)
-    rows = []
-    finals = {}
     for trace in traces:
-        finals[trace.method] = float(trace.rel_err[-1])
-        for t, err in enumerate(trace.rel_err):
-            rows.append((trace.method.value, t, err))
         write_pgm(
             os.path.join(cfg.out, f"recovered_{trace.method.value}.pgm"),
             np.abs(trace.recovered),
         )
+    rows = [(trace.method.value, t, err)
+            for trace in traces for t, err in enumerate(trace.rel_err)]
+    finals = {trace.method: float(trace.rel_err[-1]) for trace in traces}
     comments = [f"final_{m.value}={v:.17g}" for m, v in finals.items()]
-    ok = True
-    if Method.GD in finals:
-        for method, err in finals.items():
-            if method is not Method.GD and not err < finals[Method.GD]:
-                ok = False
+    gd = finals.get(Method.GD)
+    ok = gd is None or all(err < gd for m, err in finals.items() if m is not Method.GD)
     comments.append(f"accelerated_below_gd={int(ok)}")
     _write_csv(os.path.join(cfg.out, "errors.csv"), ("method", "iter", "rel_err"),
                rows, comments=comments)

@@ -1,7 +1,8 @@
-"""Portable graymap (P2 ascii / P5 binary) reading and writing.
+"""Portable graymap reading and writing.
 
-Images are exchanged as float arrays in [0, 1]; files quantize to the
-stated maxval (255 by default, 16-bit supported on read).
+Images are exchanged as float arrays in [0, 1].  The reader takes P2
+(ascii) and P5 (binary) files at 8 or 16 bits; the writer writes 8-bit P5
+only, quantized to maxval 255.
 """
 
 from __future__ import annotations
@@ -59,21 +60,13 @@ def read_pgm(path) -> np.ndarray:
     return (values / maxval).reshape(height, width)
 
 
-def write_pgm(path, image: np.ndarray, maxval: int = 255, binary: bool = True) -> None:
-    """Write a float image in [0, 1] as a graymap, clipping out-of-range values."""
+def write_pgm(path, image: np.ndarray) -> None:
+    """Write a float image in [0, 1] as 8-bit P5, clipping out-of-range values."""
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("graymap images must be two-dimensional")
-    if not 0 < maxval < 65536:
-        raise ValueError("maxval must be in [1, 65535]")
-    quantized = np.clip(np.rint(image * maxval), 0, maxval).astype(np.int64)
+    quantized = np.clip(np.rint(image * 255), 0, 255).astype(np.uint8)
     height, width = image.shape
-    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-            fh.write(quantized.astype(dtype).tobytes())
-        else:
-            for row in quantized:
-                fh.write((" ".join(str(v) for v in row) + "\n").encode("ascii"))
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(quantized.tobytes())

@@ -84,7 +84,6 @@ class IterationTrace:
     contraction_ratio: np.ndarray
     status: Status
     sign: float
-    history: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
@@ -163,7 +162,6 @@ def run(
     x0,
     params: SolverParams,
     gt: GroundTruth,
-    keep_history: bool = False,
 ) -> IterationTrace:
     """Drive the chosen method and record the per-iteration trace.
 
@@ -190,7 +188,6 @@ def run(
     # per iterate, only the columns that need the iterate itself; the flags
     # and pair columns are derived from them after the loop
     cost, grad_norm, dist, max_inc = [], [], [], []
-    history = [x0] if keep_history else None
     x_curr = x_prev = x0
     status = Status.MAX_ITERS
     t = 0
@@ -222,8 +219,6 @@ def run(
                 status = Status.DIVERGED
                 break
             x_prev, x_curr = x_curr, x_new
-            if keep_history:
-                history.append(x_new)
             t += 1
 
     # math.hypot, not np.hypot: the two differ in the last bit
@@ -244,5 +239,4 @@ def run(
         contraction_ratio=ratio,
         status=status,
         sign=sign,
-        history=np.asarray(history) if keep_history else None,
     )

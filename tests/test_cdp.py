@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prbench.cdp as cdp
+from prbench import rng as prng
 from prbench.solvers import Method, Status
 
 
@@ -39,6 +40,51 @@ class TestMasks:
     def test_distinct_masks(self):
         masks = cdp.sample_masks((32,), 2, seed=1)
         assert not np.array_equal(masks.masks[0], masks.masks[1])
+
+
+class TestBatchedOperator:
+    """The batched transforms against a per-mask reference, bit for bit."""
+
+    @pytest.fixture(params=[(16,), (4, 6)], ids=["1d", "2d"])
+    def setup(self, request):
+        shape = request.param
+        masks = cdp.sample_masks(shape, 3, seed=7)
+        rng = np.random.default_rng(1)
+        z = rng.standard_normal(masks.n) + 1j * rng.standard_normal(masks.n)
+        w = rng.standard_normal((3, masks.n)) + 1j * rng.standard_normal((3, masks.n))
+        return masks, z, w
+
+    def test_forward_matches_per_mask_fft(self, setup):
+        masks, z, _ = setup
+        expected = np.array([
+            np.fft.fftn((d * z).reshape(masks.shape), norm="ortho").ravel()
+            for d in masks.masks
+        ])
+        before = cdp.fft_call_count()
+        out = cdp._forward(z, masks)
+        assert cdp.fft_call_count() - before == masks.L
+        assert np.array_equal(out, expected)
+
+    def test_adjoint_matches_per_mask_ifft_in_mask_order(self, setup):
+        masks, _, w = setup
+        expected = np.zeros(masks.n, dtype=complex)
+        for d, block in zip(masks.masks, w):
+            expected += np.conj(d) * np.fft.ifftn(
+                block.reshape(masks.shape), norm="ortho"
+            ).ravel()
+        before = cdp.fft_call_count()
+        out = cdp._adjoint(w, masks)
+        assert cdp.fft_call_count() - before == masks.L
+        assert np.array_equal(out, expected)
+
+    def test_masks_match_per_mask_draws(self, setup):
+        masks, _, _ = setup
+        n = masks.n
+        for ell, d in enumerate(masks.masks):
+            u = prng.uniforms(7, prng.label_stream(f"cdp-mask-{ell}"), 2 * n)
+            b1 = np.array([1.0, 1.0j, -1.0, -1.0j])[np.floor(4.0 * u[:n]).astype(int)]
+            b2 = np.where(u[n:] < 0.8, math.sqrt(2.0) / 2.0, math.sqrt(3.0))
+            assert np.array_equal(d, b1 * b2)
 
 
 class TestObserve:

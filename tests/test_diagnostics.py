@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import prbench as pb
-from prbench.diagnostics import loo_sequence, quadratic_parameters
+from prbench.diagnostics import _iterates, loo_sequence, quadratic_parameters
 from prbench.objective import hessian
 from prbench.ric import loo_threshold
 from prbench.solvers import Method
@@ -115,22 +115,30 @@ class TestLooRun:
 
     def test_proximity_matches_sequences(self):
         bundle = pb.loo_run(self.ens, self.y, self.x0, self.params, self.gt)
-        trace = pb.run(
-            self.ens, self.y, self.x0, self.params, gt=self.gt, keep_history=True
-        )
-        t = bundle.proximity.shape[0] - 1
-        sequences = [
-            loo_sequence(self.ens, self.y, self.x0, self.params, ell, t)
-            for ell in range(self.m)
-        ]
-        by_hand = max(
-            math.hypot(
-                np.linalg.norm(trace.history[t] - seq[t]),
-                np.linalg.norm(trace.history[t - 1] - seq[t - 1]),
+        steps = pb.run(self.ens, self.y, self.x0, self.params, gt=self.gt).n_steps
+        main = _iterates(self.ens.rows, self.y, self.x0, self.params, steps, self.m)
+        by_hand = np.array([
+            np.linalg.norm(
+                main - loo_sequence(self.ens, self.y, self.x0, self.params, ell, steps),
+                axis=1,
             )
-            for seq in sequences
-        )
-        assert bundle.proximity[t] == pytest.approx(by_hand, rel=1e-12)
+            for ell in range(self.m)
+        ])
+        assert np.array_equal(bundle.dist_main, by_hand)
+        pairs = np.hypot(by_hand[:, 1:], by_hand[:, :-1]).max(axis=0)
+        assert np.array_equal(bundle.proximity, np.concatenate([[0.0], pairs]))
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_fixed_step_loop_is_runs_iteration(self, method):
+        # loo_run rebuilds the main iterates with _iterates, so its iterates
+        # must give run's dist and cost columns bit for bit
+        beta = 0.0 if method is Method.GD else 0.5
+        params = pb.SolverParams(method, eta=self.params.eta, beta=beta, max_iters=80)
+        trace = pb.run(self.ens, self.y, self.x0, params, gt=self.gt)
+        xs = _iterates(self.ens.rows, self.y, self.x0, params, trace.n_steps, self.m)
+        target = trace.sign * self.gt.x_star
+        assert np.array_equal(trace.dist, [np.linalg.norm(x - target) for x in xs])
+        assert np.array_equal(trace.cost, [pb.cost(self.ens, self.y, x) for x in xs])
 
     def test_threshold_value(self):
         assert loo_threshold(100) == pytest.approx(5.0 * math.sqrt(math.log(100) / 100))
@@ -146,7 +154,8 @@ class TestLooIncoherenceChain:
         n, m, seed = 32, 64, 1
         ens, gt, y, x0 = make_problem(n, m, seed)
         params = capped_defaults(n, float(np.linalg.norm(x0)), Method.POLYAK, 60)
-        trace = pb.run(ens, y, x0, params, gt=gt, keep_history=True)
+        trace = pb.run(ens, y, x0, params, gt=gt)
+        xs = _iterates(ens.rows, y, x0, params, trace.n_steps, m)
         bundle = pb.loo_run(ens, y, x0, params, gt)
         target = trace.sign * gt.x_star
         row_norms = np.linalg.norm(ens.rows, axis=1)
@@ -158,7 +167,7 @@ class TestLooIncoherenceChain:
             for ell in range(m)
         ])
         for t in range(steps + 1):
-            lhs = np.abs(ens.rows @ (trace.history[t] - target))
+            lhs = np.abs(ens.rows @ (xs[t] - target))
             rhs = row_norms * bundle.dist_main[:, t] + proj_const * dist_star[:, t]
             assert (lhs <= rhs + 1e-9).all()
 
@@ -171,12 +180,13 @@ class TestContractionConsistency:
         m = int(round(10 * n * math.log(n)))
         ens, gt, y, x0 = make_problem(n, m, 0)
         params = pb.default_params(n, float(np.linalg.norm(x0)), Method.POLYAK)
-        trace = pb.run(ens, y, x0, params, gt=gt, keep_history=True)
+        trace = pb.run(ens, y, x0, params, gt=gt)
+        xs = _iterates(ens.rows, y, x0, params, trace.n_steps, m)
         assert trace.converged
         assert trace.loc_ok.all() and trace.inc_ok.all()
         target = trace.sign * gt.x_star
         for t in range(1, trace.n_steps + 1, 7):
-            midpoint = 0.5 * (trace.history[t - 1] + target)
+            midpoint = 0.5 * (xs[t - 1] + target)
             mat = pb.contraction_matrix_hb(
                 hessian(ens, y, midpoint), params.eta, params.beta
             )

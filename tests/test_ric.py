@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import prbench as pb
-from prbench.harness import theory_m
 from prbench.ric import C1, C2, C3, inc_bound, loc_radius
+from prbench.solvers import Method, override_params
 
 from conftest import make_problem
 
@@ -69,7 +69,7 @@ class TestCheckInc:
         # and the README quote: incoherence 4.50-7.84 against 10.73, and
         # dist(x0, x*) 0.856-1.005 against the locality radius 0.6
         n = 100
-        m = theory_m(n, c=1.0)
+        m = int(round(n * math.log(n)))
         incoherence, distance = [], []
         for seed in range(5):
             ens, gt, _, x0 = make_problem(n, m, seed)
@@ -87,6 +87,39 @@ class TestCheckInc:
         gt = pb.ground_truth([1.0])
         with pytest.raises(ValueError):
             pb.check_inc(np.array([2.0]), gt, ens)
+
+
+class TestMomentumRegion:
+    """Heavy ball at n=100, m = round(n ln n) = 461, with beta overridden:
+    whether the iterates after t=0 stay incoherent."""
+
+    @staticmethod
+    def run_cell(seed, beta):
+        n = 100
+        m = int(round(n * math.log(n)))
+        ens, gt, y, x0 = make_problem(n, m, seed)
+        params = override_params(
+            pb.default_params(n, float(np.linalg.norm(x0)), Method.POLYAK), None, beta,
+            max_iters=20000,
+        )
+        trace = pb.run(ens, y, x0, params, gt=gt)
+        return trace, float(trace.max_incoherence[1:].max()) / inc_bound(n, gt)
+
+    def test_beta_half_stays_incoherent(self):
+        steps, ratios = [], []
+        for seed in range(5):
+            trace, ratio = self.run_cell(seed, 0.5)
+            assert trace.converged and trace.inc_ok[1:].all()
+            steps.append(trace.n_steps)
+            ratios.append(ratio)
+        assert (min(steps), max(steps)) == (2803, 4539)
+        assert round(max(ratios), 2) == 0.44
+
+    def test_beta_point_nine_breaks_incoherence(self):
+        trace, ratio = self.run_cell(1, 0.9)
+        assert trace.converged and trace.n_steps == 446
+        assert not trace.inc_ok[1:].all()
+        assert round(ratio, 2) == 1.08
 
 
 class TestContractionMatrices:

@@ -48,9 +48,11 @@ class TestSteps:
         # gradient at x=2 is 6, so x moves to 2 - 0.1 * 6 = 1.4
         ens, y, gt = tiny_problem()
         params = pb.SolverParams(method=Method.GD, eta=0.1, max_iters=1)
-        trace = pb.run(ens, y, np.array([2.0]), params, gt=gt, keep_history=True)
-        assert trace.history[1] == pytest.approx([1.4])
-        assert np.array_equal(trace.history[0], [2.0])
+        trace = pb.run(ens, y, np.array([2.0]), params, gt=gt)
+        x1 = 2.0 - 0.1 * 6.0
+        assert trace.dist[0] == 1.0
+        assert trace.dist[1] == abs(x1 - 1.0)
+        assert trace.cost[1] == (x1 * x1 - 1.0) ** 2 / 4.0
 
     def test_stationary_point(self, small_problem):
         ens, gt, y, _ = small_problem
@@ -248,8 +250,9 @@ class TestRun:
         expected = momentum_step(Method.GD, x0, x0, grad_of(ens, y), eta, 0.0)
         for method, beta in ((Method.GD, 0.0), (Method.POLYAK, 0.6), (Method.NESTEROV, 0.6)):
             params = pb.SolverParams(method=method, eta=eta, beta=beta, max_iters=1)
-            trace = pb.run(ens, y, x0, params, gt=gt, keep_history=True)
-            assert np.array_equal(trace.history[1], expected)
+            trace = pb.run(ens, y, x0, params, gt=gt)
+            assert trace.dist[1] == np.linalg.norm(expected - trace.sign * gt.x_star)
+            assert trace.cost[1] == pb.cost(ens, y, expected)
 
     def test_paired_norm_and_ratio_columns(self):
         ens, gt, y, x0 = make_problem(10, 200, 0)
