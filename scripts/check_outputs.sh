@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# Run a fixed set of prbench CLI calls against the checkout SRC and store,
+# per call, its output files, stdout, stderr and exit code under OUT/<case>/.
+#
+#   scripts/check_outputs.sh SRC OUT
+#
+# Each call runs in its own case directory with relative paths and one BLAS
+# thread, so two OUT directories, say one from a parent checkout and one from
+# a change, compare with `diff -r`.  Takes about a minute on two cores.
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+export OPENBLAS_NUM_THREADS=1 PYTHONPATH="$src/src"
+
+case_() {
+    local name=$1
+    shift
+    mkdir -p "$out/$name"
+    (cd "$out/$name" && { python3 -m prbench.cli "$@" --out out >stdout 2>stderr \
+        && echo 0 || echo $?; } >exit)
+}
+
+# sweeps: both starts with non-converging cells (m=60 at n=50), and momentum 0.9
+case_ sweep_spectral sweep --n_list 10,50 --m_list 60,200 --seed_list 0,1,2 --init spectral
+case_ sweep_random sweep --n_list 10,50 --m_list 60,200 --seed_list 0,1,2 --init random
+case_ sweep_beta sweep --n_list 100 --m_list 256 --seed_list 0,1 --methods gd,polyak,nesterov \
+    --beta 0.9 --max_iters 3000
+case_ run_gd run --n_list 10 --m_list 200 --seed_list 0 --methods gd
+case_ run_random run --n_list 50 --m_list 500 --seed_list 3 --methods nesterov --init random
+case_ headtohead headtohead --n_list 64 --seed_list 0,1,2
+case_ slopes slopes --n_list 16,32,64 --seed_list 0,1
+case_ oracle oracle
+case_ concentration concentration --n_list 100 --m_list 1000 --seed_list 0,1,2
+# leave-one-out: the m=256 violation (exit 1), criterion 8's regime, a budget refusal (exit 2)
+case_ loo_256 loo --n_list 100 --m_list 256 --seed_list 4 --methods polyak --max_iters 500
+case_ loo_461 loo --n_list 100 --m_list 461 --loo_budget_m 461 --seed_list 1 \
+    --methods nesterov --max_iters 500
+case_ loo_budget loo --n_list 100 --m_list 461
+# coded diffraction: defaults, no GD, a graymap input, and diverging steps
+case_ cdp_default cdp
+case_ cdp_no_gd cdp --methods polyak,nesterov
+mkdir -p "$out/cdp_image"
+python3 -c "import sys; sys.stdout.buffer.write(b'P5\n16 16\n255\n'
+    + bytes((7 * i + 3 * (i // 16)) % 256 for i in range(256)))" >"$out/cdp_image/image.pgm"
+case_ cdp_image cdp --image image.pgm --mask_count 6 --cdp_iters 40
+case_ cdp_diverge cdp --eta 1000
+case_ cdp_diverge_no_gd cdp --eta 1000 --methods polyak,nesterov --mask_count 4 --cdp_size 16
+mkdir -p "$out/cdp_image_range"
+printf 'P2\n2 2\n255\n0 128\n300 -5\n' >"$out/cdp_image_range/image.pgm"
+case_ cdp_image_range cdp --image image.pgm --mask_count 2 --cdp_iters 5

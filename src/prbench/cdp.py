@@ -148,6 +148,29 @@ def phase_aligned_rel_err(z, z_star) -> float:
 
 
 @dataclass(frozen=True)
+class CdpProblem:
+    """One drawn CDP instance: the vectorized image, its masks and
+    observations, and the spectral start every method runs from."""
+
+    z_star: np.ndarray
+    masks: CdpMasks
+    y: np.ndarray
+    init: SpectralReport
+
+
+def cdp_problem(image, L: int, seed: int) -> CdpProblem:
+    """Draw the masks, observe the image through them, and compute the
+    spectral start, once per seed."""
+    image = np.asarray(image, dtype=float)
+    if image.size > 1 << 16:
+        raise ValueError(f"desk-scale limit is 2^16 pixels, got {image.size}")
+    z_star = image.astype(complex).ravel()
+    masks = sample_masks(image.shape, L, seed)
+    y = cdp_observe(z_star, masks)
+    return CdpProblem(z_star=z_star, masks=masks, y=y, init=cdp_spectral_init(masks, y))
+
+
+@dataclass(frozen=True)
 class CdpTrace:
     method: Method
     rel_err: np.ndarray
@@ -157,17 +180,15 @@ class CdpTrace:
 
 
 def cdp_run(
-    image,
-    L: int,
+    problem: CdpProblem,
     method: Method,
     iters: int,
-    seed: int,
     eta: float | None = None,
     beta: float | None = None,
 ) -> CdpTrace:
     """Recover an image from coded diffraction observations.
 
-    Spectral init, then `iters` steps of the chosen method; the trace
+    From the spectral start, `iters` steps of the chosen method; the trace
     records the phase-aligned relative error at every iterate, the init
     included.  Step and momentum default to the shared schedules with n
     equal to the pixel count and the norm measured in the operator's
@@ -175,19 +196,10 @@ def cdp_run(
     physical signal norm would misstate the curvature by a factor of n.
     The `eta` and `beta` overrides follow `solvers.override_params`.
     """
-    image = np.asarray(image, dtype=float)
-    n = image.size
-    if n > 1 << 16:
-        raise ValueError(f"desk-scale limit is 2^16 pixels, got {n}")
     method = Method(method)
-    z_star = image.astype(complex).ravel()
-    masks = sample_masks(image.shape, L, seed)
-    y = cdp_observe(z_star, masks)
-    init = cdp_spectral_init(masks, y)
-    z0 = init.x0
-
+    z_star, masks, y, z0 = problem.z_star, problem.masks, problem.y, problem.init.x0
     params = override_params(
-        default_params(n, math.sqrt(init.lambda1 / 3.0), method), eta, beta,
+        default_params(masks.n, math.sqrt(problem.init.lambda1 / 3.0), method), eta, beta,
         max_iters=iters,
     )
     grad_fn = lambda z: cdp_gradient(z, y, masks)
@@ -208,13 +220,12 @@ def cdp_run(
                 break
             z_prev, z_curr = z_curr, z_new
             rel_err.append(phase_aligned_rel_err(z_curr, z_star))
-    recovered = z_curr.reshape(image.shape)
     return CdpTrace(
         method=method,
         rel_err=np.asarray(rel_err),
         status=status,
         fft_calls_per_iter=tuple(fft_per_iter),
-        recovered=recovered,
+        recovered=z_curr.reshape(masks.shape),
     )
 
 

@@ -190,24 +190,25 @@ def _write_csv(path, header, rows, comments=()):
         raise OSError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _problem(cfg: ExperimentConfig, n: int, m: int, seed: int):
+def _problem(n: int, m: int, seed: int, init: str):
+    """The seed's one instance: ensemble, ground truth, observations, start."""
     ens = sample_ensemble(m, n, seed)
     gt = random_ground_truth(n, seed)
     y = observe(ens, gt)
-    if cfg.init == "spectral":
-        x0 = spectral_init(ens, y).x0
-    else:
-        x0 = random_init(n, seed)
+    x0 = spectral_init(ens, y).x0 if init == "spectral" else random_init(n, seed)
     return ens, gt, y, x0
 
 
-def _single_run(cfg: ExperimentConfig, n: int, m: int, seed: int, method) -> IterationTrace:
-    ens, gt, y, x0 = _problem(cfg, n, m, seed)
-    params = override_params(
-        default_params(n, float(np.linalg.norm(x0)), method), cfg.eta, cfg.beta,
-        max_iters=cfg.max_iters, tol=cfg.tol,
-    )
-    return run(ens, y, x0, params, gt=gt)
+def _traces(cfg: ExperimentConfig, n: int, m: int, seed: int, methods, rule):
+    """Each method run on the seed's one instance, with the parameters
+    `rule(n, ||x0||, method)` under the config's overrides."""
+    ens, gt, y, x0 = _problem(n, m, seed, cfg.init)
+    norm_x0 = float(np.linalg.norm(x0))
+    return [
+        run(ens, y, x0, override_params(rule(n, norm_x0, method), cfg.eta, cfg.beta,
+                                        max_iters=cfg.max_iters, tol=cfg.tol), gt=gt)
+        for method in methods
+    ]
 
 
 def write_trace(path: str, trace: IterationTrace) -> None:
@@ -222,8 +223,7 @@ def write_trace(path: str, trace: IterationTrace) -> None:
 def cmd_run(cfg: ExperimentConfig) -> int:
     n, seed, method = cfg.n_list[0], cfg.seed_list[0], cfg.methods[0]
     m = _sample_count(cfg, n)
-    trace = _single_run(cfg, n, m, seed, method)
-    write_trace(cfg.out, trace)
+    write_trace(cfg.out, _traces(cfg, n, m, seed, (method,), default_params)[0])
     return 0
 
 
@@ -247,16 +247,7 @@ def headtohead_slope(cfg: ExperimentConfig, n: int, m: int, seed: int):
     Both arms use the rate-analysis defaults under the eta and beta
     overrides of `solvers.override_params`.
     """
-    ens, gt, y, x0 = _problem(cfg, n, m, seed)
-    norm_x0 = float(np.linalg.norm(x0))
-    traces = []
-    for method in (cfg.method_a, cfg.method_b):
-        params = override_params(
-            theory_params(n, norm_x0, method), cfg.eta, cfg.beta,
-            max_iters=cfg.max_iters, tol=cfg.tol,
-        )
-        traces.append(run(ens, y, x0, params, gt=gt))
-    trace_a, trace_b = traces
+    trace_a, trace_b = _traces(cfg, n, m, seed, (cfg.method_a, cfg.method_b), theory_params)
     statuses = (trace_a.status, trace_b.status)
     if not (trace_a.converged and trace_b.converged):
         return [], math.nan, statuses
@@ -304,24 +295,25 @@ def cmd_slopes(cfg: ExperimentConfig) -> int:
     return 0 if all(row[-1] for row in rows) else 1
 
 
-def sweep_cell(cfg: ExperimentConfig, n: int, m: int, method, out_dir=None):
-    """Runs for one (n, m, method) cell over all seeds; returns the summary row."""
-    traces = []
-    for seed in cfg.seed_list:
-        trace = _single_run(cfg, n, m, seed, method)
-        if out_dir is not None:
-            name = f"n{n}_m{m}_{Method(method).value}_{cfg.init}_s{seed}.csv"
-            write_trace(os.path.join(out_dir, name), trace)
-        traces.append(trace)
-    converged = sum(trace.converged for trace in traces)
-    diverged = sum(trace.status is Status.DIVERGED for trace in traces)
-    iters = [trace.n_steps if trace.converged else math.inf for trace in traces]
-    median_iters = statistics.median(iters)
-    return (
-        n, m, Method(method).value, cfg.init, len(cfg.seed_list),
-        converged, diverged,
-        median_iters if math.isfinite(median_iters) else math.nan,
-    )
+def sweep_cell(cfg: ExperimentConfig, n: int, m: int, out_dir=None):
+    """Every method run on each seed's instance of the (n, m) cell; returns
+    one summary row per method, in `cfg.methods` order."""
+    runs = [_traces(cfg, n, m, seed, cfg.methods, default_params) for seed in cfg.seed_list]
+    rows = []
+    for method, traces in zip(map(Method, cfg.methods), zip(*runs)):
+        for seed, trace in zip(cfg.seed_list, traces):
+            if out_dir is not None:
+                name = f"n{n}_m{m}_{method.value}_{cfg.init}_s{seed}.csv"
+                write_trace(os.path.join(out_dir, name), trace)
+        iters = [trace.n_steps if trace.converged else math.inf for trace in traces]
+        median_iters = statistics.median(iters)
+        rows.append((
+            n, m, method.value, cfg.init, len(cfg.seed_list),
+            sum(trace.converged for trace in traces),
+            sum(trace.status is Status.DIVERGED for trace in traces),
+            median_iters if math.isfinite(median_iters) else math.nan,
+        ))
+    return rows
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
@@ -330,8 +322,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     for n in cfg.n_list:
         m_values = cfg.m_list if cfg.m_list else (theory_m(n),)
         for m in m_values:
-            for method in cfg.methods:
-                rows.append(sweep_cell(cfg, n, m, method, out_dir=cfg.out))
+            rows.extend(sweep_cell(cfg, n, m, out_dir=cfg.out))
     _write_csv(
         os.path.join(cfg.out, "summary.csv"),
         ("n", "m", "method", "init", "seeds", "converged", "diverged", "median_iters"),
@@ -348,7 +339,7 @@ def cmd_loo(cfg: ExperimentConfig) -> int:
     if m > cfg.loo_budget_m:
         raise ValueError(f"leave-one-out budget allows m <= {cfg.loo_budget_m}, got {m}")
     method = cfg.methods[0]
-    ens, gt, y, x0 = _problem(cfg, n, m, seed)
+    ens, gt, y, x0 = _problem(n, m, seed, cfg.init)
     params = override_params(
         default_params(n, float(np.linalg.norm(x0)), method), cfg.eta, cfg.beta,
         max_iters=min(cfg.max_iters, cfg.loo_budget_iters), tol=cfg.tol,
@@ -406,14 +397,11 @@ def cmd_cdp(cfg: ExperimentConfig) -> int:
         image = read_pgm(cfg.image)
     else:
         image = cdp_mod.synthetic_image(cfg.cdp_size, cfg.cdp_size)
-    seed = cfg.seed_list[0]
+    problem = cdp_mod.cdp_problem(image, cfg.mask_count, cfg.seed_list[0])
     # every run finishes before the output directory exists, so a failed
     # command leaves nothing behind
-    traces = [
-        cdp_mod.cdp_run(image, cfg.mask_count, Method(method), cfg.cdp_iters, seed,
-                        eta=cfg.eta, beta=cfg.beta)
-        for method in cfg.methods
-    ]
+    traces = [cdp_mod.cdp_run(problem, method, cfg.cdp_iters, eta=cfg.eta, beta=cfg.beta)
+              for method in cfg.methods]
     os.makedirs(cfg.out, exist_ok=True)
     for trace in traces:
         write_pgm(
@@ -424,12 +412,16 @@ def cmd_cdp(cfg: ExperimentConfig) -> int:
             for trace in traces for t, err in enumerate(trace.rel_err)]
     finals = {trace.method: float(trace.rel_err[-1]) for trace in traces}
     comments = [f"final_{m.value}={v:.17g}" for m, v in finals.items()]
+    comments += [f"status_{trace.method.value}={trace.status.value}" for trace in traces]
     gd = finals.get(Method.GD)
     ok = gd is None or all(err < gd for m, err in finals.items() if m is not Method.GD)
+    # a diverged method fails the run whether or not GD ran beside it
+    none_diverged = all(trace.status is not Status.DIVERGED for trace in traces)
     comments.append(f"accelerated_below_gd={int(ok)}")
+    comments.append(f"none_diverged={int(none_diverged)}")
     _write_csv(os.path.join(cfg.out, "errors.csv"), ("method", "iter", "rel_err"),
                rows, comments=comments)
-    return 0 if ok else 1
+    return 0 if ok and none_diverged else 1
 
 
 COMMANDS = {

@@ -29,7 +29,9 @@ def _tokens(data: bytes):
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a P2 or P5 graymap as a float array scaled to [0, 1]."""
+    """Read a P2 or P5 graymap as a float array scaled to [0, 1]; a sample
+    above maxval, or a header value or P2 sample that is not a nonnegative
+    integer, is a ValueError naming the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     tok = _tokens(data)
@@ -42,12 +44,19 @@ def read_pgm(path) -> np.ndarray:
         pos, maxval_tok = next(tok)
     except StopIteration:
         raise ValueError(f"{path}: truncated graymap header") from None
+    if not all(t.isdigit() for t in (width, height, maxval_tok)):
+        raise ValueError(f"{path}: graymap header values must be integers")
     width, height, maxval = int(width), int(height), int(maxval_tok)
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise ValueError(f"{path}: bad graymap dimensions")
     count = width * height
+    out_of_range = f"{path}: graymap samples must be integers in [0, {maxval}]"
     if magic == b"P2":
-        values = np.array([int(t) for _, t in tok], dtype=np.int64)
+        # digits only: a sign, a fraction or an exponent is not a sample
+        tokens = [t for _, t in tok]
+        if not all(t.isdigit() and int(t) <= maxval for t in tokens):
+            raise ValueError(out_of_range)
+        values = np.array([int(t) for t in tokens], dtype=np.int64)
         if values.shape[0] != count:
             raise ValueError(f"{path}: expected {count} pixels, got {values.shape[0]}")
     else:
@@ -57,6 +66,8 @@ def read_pgm(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated pixel data")
         raw = np.frombuffer(data, dtype=dtype, count=count, offset=start)
         values = raw.astype(np.int64)
+        if np.any(values > maxval):
+            raise ValueError(out_of_range)
     return (values / maxval).reshape(height, width)
 
 

@@ -127,9 +127,7 @@ def test_c05_grid_momentum_dominance_both_inits():
         cfg = ExperimentConfig(seed_list=(0, 1, 2, 3, 4), init=init, tol=1e-7)
         for n in (10, 50, 100):
             for m in (200, 500, 1000):
-                medians = {}
-                for method in ("gd", "polyak", "nesterov"):
-                    medians[method] = sweep_cell(cfg, n, m, method)[-1]
+                medians = {row[2]: row[-1] for row in sweep_cell(cfg, n, m)}
                 gd, hb, nag = medians["gd"], medians["polyak"], medians["nesterov"]
                 if math.isnan(gd):
                     continue  # GD does not converge in this cell
@@ -266,8 +264,9 @@ def test_c11_cdp_acceleration_and_fft_parity():
     image = cdp.synthetic_image(64, 64)
     finals = {}
     per_iter = {}
+    problem = cdp.cdp_problem(image, 12, seed=0)
     for method in Method:
-        trace = cdp.cdp_run(image, 12, method, 140, seed=0)
+        trace = cdp.cdp_run(problem, method, 140)
         finals[method] = float(trace.rel_err[-1])
         per_iter[method] = set(trace.fft_calls_per_iter)
     parity = per_iter[Method.GD] == per_iter[Method.POLYAK] == per_iter[Method.NESTEROV] == {24}

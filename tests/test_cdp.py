@@ -165,37 +165,36 @@ class TestPhaseAlignedError:
 class TestCdpRun:
     def test_zero_iters_records_init_error(self):
         img = cdp.synthetic_image(8, 8)
-        trace = cdp.cdp_run(img, 4, Method.GD, 0, seed=0)
+        trace = cdp.cdp_run(cdp.cdp_problem(img, 4, seed=0), Method.GD, 0)
         assert trace.rel_err.shape == (1,)
         assert trace.status is Status.MAX_ITERS
 
     def test_deterministic(self):
         img = cdp.synthetic_image(8, 8)
-        a = cdp.cdp_run(img, 4, Method.POLYAK, 10, seed=1)
-        b = cdp.cdp_run(img, 4, Method.POLYAK, 10, seed=1)
+        a = cdp.cdp_run(cdp.cdp_problem(img, 4, seed=1), Method.POLYAK, 10)
+        b = cdp.cdp_run(cdp.cdp_problem(img, 4, seed=1), Method.POLYAK, 10)
         assert np.array_equal(a.rel_err, b.rel_err)
 
     def test_fft_parity_across_methods(self):
         img = cdp.synthetic_image(8, 8)
+        problem = cdp.cdp_problem(img, 4, seed=0)
         per_iter = {}
         for method in Method:
-            trace = cdp.cdp_run(img, 4, method, 6, seed=0)
+            trace = cdp.cdp_run(problem, method, 6)
             assert set(trace.fft_calls_per_iter) == {2 * 4}
             per_iter[method] = trace.fft_calls_per_iter
         assert per_iter[Method.GD] == per_iter[Method.POLYAK] == per_iter[Method.NESTEROV]
 
     def test_accelerated_below_gd(self):
         img = cdp.synthetic_image(16, 16)
-        finals = {
-            method: cdp.cdp_run(img, 8, method, 60, seed=0).rel_err[-1]
-            for method in Method
-        }
+        problem = cdp.cdp_problem(img, 8, seed=0)
+        finals = {method: cdp.cdp_run(problem, method, 60).rel_err[-1] for method in Method}
         assert finals[Method.POLYAK] < finals[Method.GD]
         assert finals[Method.NESTEROV] < finals[Method.GD]
 
     def test_rejects_oversized_image(self):
         with pytest.raises(ValueError):
-            cdp.cdp_run(np.zeros((300, 300)), 4, Method.GD, 1, seed=0)
+            cdp.cdp_problem(np.zeros((300, 300)), 4, seed=0)
 
 
 def test_spectral_init_scaling(small_setup):

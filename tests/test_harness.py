@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from prbench import cli, harness
+from prbench import cdp, cli, harness
 from prbench.harness import (
     ExperimentConfig,
     headtohead_slope,
@@ -227,6 +227,61 @@ class TestWrappedCommands:
         assert (out / "recovered_gd.pgm").exists()
         assert (out / "recovered_polyak.pgm").exists()
         assert any(l.startswith("# accelerated_below_gd=") for l in lines)
+        assert lines[-4:-2] == ["# status_gd=max_iters", "# status_polyak=max_iters"]
+        assert lines[-1] == "# none_diverged=1"
+
+
+class TestSharedInstance:
+    """Every method of a command runs on the one instance drawn for its seed."""
+
+    @staticmethod
+    def counting(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_sweep_starts_once_per_cell_and_seed(self, tmp_path, monkeypatch):
+        calls = self.counting(monkeypatch, harness, "spectral_init")
+        common = dict(n_list=(10,), m_list=(100, 200), seed_list=(0, 1))
+        methods = ("gd", "polyak", "nesterov")
+        both = tmp_path / "all"
+        assert harness.cmd_sweep(ExperimentConfig(methods=methods, out=str(both), **common)) == 0
+        assert sorted(ens.m for ens, _ in calls) == [100, 100, 200, 200]
+        summary = (both / "summary.csv").read_text().splitlines()
+        assert len(list(both.glob("n*.csv"))) == 12
+        # a three-method sweep writes the bytes of three single-method sweeps
+        for method in methods:
+            single = tmp_path / method
+            harness.cmd_sweep(ExperimentConfig(methods=(method,), out=str(single), **common))
+            traces = sorted(single.glob("n*.csv"))
+            assert len(traces) == 4
+            for trace in traces:
+                assert trace.read_bytes() == (both / trace.name).read_bytes()
+            rows = (single / "summary.csv").read_text().splitlines()
+            assert rows[1:] == [row for row in summary[1:] if row.split(",")[2] == method]
+
+    def test_cdp_starts_once(self, tmp_path, monkeypatch):
+        calls = self.counting(monkeypatch, cdp, "cdp_spectral_init")
+        common = dict(seed_list=(0,), cdp_size=8, mask_count=3, cdp_iters=5)
+        methods = ("gd", "polyak", "nesterov")
+        both = tmp_path / "all"
+        harness.cmd_cdp(ExperimentConfig(methods=methods, out=str(both), **common))
+        assert len(calls) == 1
+        lines = (both / "errors.csv").read_text().splitlines()
+        for method in methods:
+            single = tmp_path / method
+            harness.cmd_cdp(ExperimentConfig(methods=(method,), out=str(single), **common))
+            own = [line for line in (single / "errors.csv").read_text().splitlines()
+                   if line.startswith(method + ",")]
+            assert own and own == [line for line in lines if line.startswith(method + ",")]
+            image = f"recovered_{method}.pgm"
+            assert (single / image).read_bytes() == (both / image).read_bytes()
 
 
 class TestCli:
@@ -416,7 +471,30 @@ class TestCli:
             code = cli.main(["cdp", "--cdp_size", "8", "--mask_count", "2",
                              "--cdp_iters", "40", "--eta", "1e6",
                              "--out", str(tmp_path / "cdp")])
-        assert code in (0, 1)
+        assert code == 1
+
+    def test_cdp_fails_when_methods_diverge_without_gd(self, tmp_path):
+        # no GD to compare against: the diverged statuses alone fail the run
+        out = tmp_path / "cdp"
+        code = cli.main(["cdp", "--eta", "1000", "--methods", "polyak,nesterov",
+                         "--mask_count", "4", "--cdp_size", "16", "--out", str(out)])
+        assert code == 1
+        lines = (out / "errors.csv").read_text().splitlines()
+        assert "# status_polyak=diverged" in lines
+        assert "# status_nesterov=diverged" in lines
+        assert "# final_nesterov=inf" in lines
+        assert "# accelerated_below_gd=1" in lines
+        assert lines[-1] == "# none_diverged=0"
+
+    def test_out_of_range_graymap_exits_two(self, tmp_path, capsys):
+        image = tmp_path / "hot.pgm"
+        image.write_bytes(b"P5\n2 2\n100\n\x00\x10\x20\xc8")
+        out = tmp_path / "cdp"
+        code = cli.main(["cdp", "--image", str(image), "--mask_count", "2",
+                         "--cdp_iters", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"prbench: {image}: ")
+        assert not out.exists()
 
     def test_cdp_gd_keeps_zero_beta_under_override(self, tmp_path):
         common = ["cdp", "--methods", "gd,polyak", "--cdp_size", "8",

@@ -60,3 +60,21 @@ def test_clips_out_of_range(tmp_path):
     write_pgm(path, np.array([[-0.5, 1.5]]))
     img = read_pgm(path)
     assert img[0, 0] == 0.0 and img[0, 1] == 1.0
+
+
+@pytest.mark.parametrize("data", [
+    b"P2\n2 1\n255\n300 -5\n",
+    b"P2\n2 1\n255\n3 -5\n",
+    b"P2\n2 1\n255\n3 0.5\n",
+    b"P5\n1 1\n100\n\xc8",
+    b"P5\n1 1\n1000\n\x03\xe9",
+    b"P2\n2 x\n255\n0 1\n",
+], ids=["ascii_above", "ascii_negative", "ascii_fraction", "binary_above", "wide_above",
+        "header_word"])
+def test_rejects_non_integer_or_out_of_range_values(tmp_path, data):
+    # each sample must be an integer in [0, maxval], so the image lies in [0, 1];
+    # a header value that is no integer is named with the file too
+    path = tmp_path / "range.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="range.pgm"):
+        read_pgm(path)
