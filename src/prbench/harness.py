@@ -38,6 +38,9 @@ TRACE_COLUMNS = (
     "loc_ok", "inc_ok", "paired_norm", "contraction_ratio",
 )
 
+# head-to-head slope fits use the iterates with tol <= dist <= FIT_FLOOR
+FIT_FLOOR = 0.5
+
 
 @dataclass
 class ExperimentConfig:
@@ -54,7 +57,6 @@ class ExperimentConfig:
     # head-to-head and slope fits
     method_a: str = "gd"
     method_b: str = "polyak"
-    fit_floor: float = 0.5
     # quadratic oracle
     kappa: float = 100.0
     oracle_steps: int = 10_000
@@ -147,9 +149,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ValueError(f"{name} must be at least {low}, got {value}")
     if not cfg.kappa < math.inf:
         raise ValueError(f"kappa must be finite, got {cfg.kappa}")
-    # a floor at or below tol leaves the slope fit window empty
-    if not cfg.fit_floor > cfg.tol:
-        raise ValueError(f"fit_floor must exceed tol = {cfg.tol}, got {cfg.fit_floor}")
+    # a tol at or above the floor leaves the slope fit window empty
+    if not cfg.tol < FIT_FLOOR:
+        raise ValueError(f"tol must be below the slope fit floor {FIT_FLOOR}, got {cfg.tol}")
     # a repeated seed would be run, written and counted twice
     for name in ("methods", "seed_list"):
         values = getattr(cfg, name)
@@ -227,11 +229,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _slope_window(trace_a, trace_b, tol: float, floor: float):
-    """Pairs (log dist_a(t), log dist_b(t)) over t where both are in [tol, floor]."""
+def _slope_window(trace_a, trace_b, tol: float):
+    """Pairs (log dist_a(t), log dist_b(t)) over t where both are in [tol, FIT_FLOOR]."""
     t_max = min(trace_a.dist.shape[0], trace_b.dist.shape[0])
     da, db = trace_a.dist[:t_max], trace_b.dist[:t_max]
-    keep = (da >= tol) & (da <= floor) & (db >= tol) & (db <= floor)
+    keep = (da >= tol) & (da <= FIT_FLOOR) & (db >= tol) & (db <= FIT_FLOOR)
     return np.flatnonzero(keep), np.log(da[keep]), np.log(db[keep])
 
 
@@ -251,7 +253,7 @@ def headtohead_slope(cfg: ExperimentConfig, n: int, m: int, seed: int):
     statuses = (trace_a.status, trace_b.status)
     if not (trace_a.converged and trace_b.converged):
         return [], math.nan, statuses
-    idx, log_a, log_b = _slope_window(trace_a, trace_b, cfg.tol, cfg.fit_floor)
+    idx, log_a, log_b = _slope_window(trace_a, trace_b, cfg.tol)
     rows = [(seed, int(t), la, lb) for t, la, lb in zip(idx, log_a, log_b)]
     return rows, _paired_slope(log_a, log_b), statuses
 

@@ -1,7 +1,8 @@
-"""Gaussian sensing model: ensembles, observations, ground truth, distance.
+"""Gaussian sensing model: ensembles, observations, ground truth.
 
-The recovery target is identifiable only up to sign, so all error
-measurements go through :func:`dist`, which minimizes over the two signs.
+The recovery target is identifiable only up to sign.  `align_sign` picks
+the sign s nearest a point; `solvers.run` fixes it at the start and
+measures every error against s * x_star.
 """
 
 from __future__ import annotations
@@ -91,15 +92,6 @@ def observe(ens: SensingEnsemble, gt: GroundTruth) -> np.ndarray:
         raise ValueError("observations must be finite")
     y.setflags(write=False)
     return y
-
-
-def dist(x, x_star) -> float:
-    """Sign-invariant distance min(||x - x_star||, ||x + x_star||)."""
-    x = np.asarray(x, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    if x.shape != x_star.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {x_star.shape}")
-    return float(min(np.linalg.norm(x - x_star), np.linalg.norm(x + x_star)))
 
 
 def align_sign(x, x_star) -> float:

@@ -9,11 +9,11 @@ but lies outside the locality radius 2 c1 ||x*|| = 0.6 (dist(x0, x*) from
 0.856 to 1.005; `test_ric.py` pins both ranges), so the criterion checks
 the bound from incoherent, non-local starts rather than from the local
 region the analysis assumes.
-It does not run at m=256, the default cost guard of `loo_run`: the bound is
-not claimed there, and it fails, because the spectral start of seed 4
-already breaks the incoherence predicate before the first step
-(max |a_l . (x0 - s x*)| = 12.02 > 5 sqrt(log 100) = 10.73) and the
-proximity reaches 1.3286 against 1.0730 at t=3 through row 9.  The harness
+It does not run at m=256, the default `--loo_budget_m` limit that
+`cmd_loo` checks: the bound is not claimed there, and it fails, because the
+spectral start of seed 4 already breaks the incoherence predicate before
+the first step (max |a_l . (x0 - s x*)| = 12.02 > 5 sqrt(log 100) = 10.73)
+and the proximity reaches 1.3286 against 1.0730 at t=3 through row 9.  The harness
 tests that expect exit 1 from `loo` at n=100, m=256, seed 4 keep that
 violation pinned.
 """
@@ -26,16 +26,38 @@ import time
 import numpy as np
 import pytest
 
-import prbench as pb
 import prbench.cdp as cdp
-from prbench.diagnostics import loo_run, loo_sequence, quadratic_parameters
+from prbench.diagnostics import (
+    concentration_report,
+    loo_run,
+    loo_sequence,
+    quadratic_oracle,
+    quadratic_parameters,
+)
 from prbench.harness import ExperimentConfig, headtohead_slope, sweep_cell, theory_m
-from prbench.objective import cost, gradient, hessian, hessian_extremes
-from prbench.solvers import Method
-from prbench.spectral import _POWER_STREAM, leading_eigenpair
+from prbench.model import (
+    SensingEnsemble,
+    observe,
+    random_ground_truth,
+    sample_ensemble,
+    sample_unit_sphere,
+)
+from prbench.solvers import Method, default_params, run
+from prbench.spectral import _POWER_STREAM, leading_eigenpair, spectral_init
 from prbench import rng
 
 from conftest import make_problem
+from reference import (
+    check_inc,
+    check_loc,
+    contraction_matrix_hb,
+    contraction_matrix_nag,
+    cost,
+    dist,
+    gradient,
+    hessian,
+    hessian_extremes,
+)
 
 
 def report(number, ok, detail, elapsed, budget):
@@ -51,7 +73,7 @@ def test_c01_gradient_and_hessian_match_finite_differences():
     worst_grad = 0.0
     worst_hess = 0.0
     for seed in range(10):
-        x = pb.sample_unit_sphere(20, 1000 + seed) * (0.5 + 0.1 * seed)
+        x = sample_unit_sphere(20, 1000 + seed) * (0.5 + 0.1 * seed)
         h = 1e-5 * (1 + np.linalg.norm(x))
         basis = np.eye(20)
         fd_grad = np.array([
@@ -73,15 +95,15 @@ def test_c01_gradient_and_hessian_match_finite_differences():
 
 def test_c02_spectral_population_oracle_and_monte_carlo():
     start = time.monotonic()
-    gt = pb.random_ground_truth(5, 3)
+    gt = random_ground_truth(5, 3)
     x_star = gt.x_star
     matvec = lambda v: v + 2.0 * x_star * (x_star @ v)
     res = leading_eigenpair(matvec, rng.normals(3, _POWER_STREAM, 5), tol=1e-10)
     x0_pop = math.sqrt(res.lambda1 / 3.0) * res.x0
-    pop_dist = pb.dist(x0_pop, x_star)
-    ens = pb.sample_ensemble(10**6, 5, seed=11)
-    y = pb.observe(ens, gt)
-    mc_dist = pb.dist(pb.spectral_init(ens, y).x0, x_star)
+    pop_dist = dist(x0_pop, x_star)
+    ens = sample_ensemble(10**6, 5, seed=11)
+    y = observe(ens, gt)
+    mc_dist = dist(spectral_init(ens, y).x0, x_star)
     ok = pop_dist <= 1e-8 and mc_dist <= 0.01
     report(2, ok, f"population dist {pop_dist:.2e} <= 1e-8, Monte-Carlo dist {mc_dist:.4f} <= 0.01",
            time.monotonic() - start, 10.0)
@@ -89,7 +111,7 @@ def test_c02_spectral_population_oracle_and_monte_carlo():
 
 def test_c03_quadratic_oracle_rates_at_kappa_100():
     start = time.monotonic()
-    measured = {m: pb.quadratic_oracle(1.0, 100.0, m) for m in Method}
+    measured = {m: quadratic_oracle(1.0, 100.0, m) for m in Method}
     ok = (
         measured[Method.GD] <= 0.995
         and measured[Method.POLYAK] <= 9.0 / 11.0 + 0.02
@@ -108,10 +130,10 @@ def test_c04_contraction_matrices_match_rate_factors():
     mu, L = 1.0, 100.0
     hess = np.diag([mu, L])
     eta, beta = quadratic_parameters(mu, L, Method.POLYAK)
-    hb_radius = np.max(np.abs(np.linalg.eigvals(pb.contraction_matrix_hb(hess, eta, beta))))
+    hb_radius = np.max(np.abs(np.linalg.eigvals(contraction_matrix_hb(hess, eta, beta))))
     hb_target = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
     eta, beta = quadratic_parameters(mu, L, Method.NESTEROV)
-    nag_radius = np.max(np.abs(np.linalg.eigvals(pb.contraction_matrix_nag(hess, eta, beta))))
+    nag_radius = np.max(np.abs(np.linalg.eigvals(contraction_matrix_nag(hess, eta, beta))))
     nag_target = 1.0 - math.sqrt(mu) / math.sqrt(L)
     ok = abs(hb_radius - hb_target) <= 1e-6 and abs(nag_radius - nag_target) <= 1e-6
     report(4, ok,
@@ -152,8 +174,8 @@ def test_c06_contraction_rates_and_incoherence_at_n64():
     for seed in range(10):
         ens, gt, y, x0 = make_problem(n, m, seed)
         for method in Method:
-            params = pb.default_params(n, float(np.linalg.norm(x0)), method)
-            trace = pb.run(ens, y, x0, params, gt=gt)
+            params = default_params(n, float(np.linalg.norm(x0)), method)
+            trace = run(ens, y, x0, params, gt=gt)
             assert trace.converged
             if method is Method.GD:
                 tail = trace.dist[-50:] / trace.dist[-51:-1]
@@ -206,7 +228,7 @@ def test_c08_leave_one_out_proximity_and_independence():
         for seed in range(5):
             ens, gt, y, x0 = make_problem(n, m, seed)
             params = dataclasses.replace(
-                pb.default_params(n, float(np.linalg.norm(x0)), method),
+                default_params(n, float(np.linalg.norm(x0)), method),
                 max_iters=500,
             )
             bundle = loo_run(ens, y, x0, params, gt)
@@ -214,12 +236,12 @@ def test_c08_leave_one_out_proximity_and_independence():
     # independence: poisoning row ell leaves sequence ell bit-identical
     ens, gt, y, x0 = make_problem(n, m, 0)
     params = dataclasses.replace(
-        pb.default_params(n, float(np.linalg.norm(x0)), Method.POLYAK), max_iters=500
+        default_params(n, float(np.linalg.norm(x0)), Method.POLYAK), max_iters=500
     )
     clean = loo_sequence(ens, y, x0, params, 7, 50)
     rows = ens.rows.copy()
     rows[7] = np.nan
-    poisoned = pb.SensingEnsemble(rows=rows, seed=ens.seed)
+    poisoned = SensingEnsemble(rows=rows, seed=ens.seed)
     independent = np.array_equal(clean, loo_sequence(poisoned, y, x0, params, 7, 50))
     ok = worst <= threshold and independent
     report(8, ok,
@@ -236,8 +258,8 @@ def test_c09_hessian_bounds_at_ric_points():
     lmin_worst, lmax_worst = math.inf, 0.0
     for seed in range(20):
         ens, gt, y, x0 = make_problem(n, m, seed)
-        assert pb.check_loc(x0, gt)
-        ok_inc, _ = pb.check_inc(x0, gt, ens)
+        assert check_loc(x0, gt)
+        ok_inc, _ = check_inc(x0, gt, ens)
         assert ok_inc
         lmin, lmax = hessian_extremes(ens, y, x0)
         lmin_worst = min(lmin_worst, lmin)
@@ -252,8 +274,8 @@ def test_c10_concentration_suite_20_of_20():
     start = time.monotonic()
     passed = 0
     for seed in range(20):
-        ens = pb.sample_ensemble(1000, 100, seed)
-        rep = pb.concentration_report(ens, pb.sample_unit_sphere(100, seed))
+        ens = sample_ensemble(1000, 100, seed)
+        rep = concentration_report(ens, sample_unit_sphere(100, seed))
         passed += rep.row_norm_ok and rep.projection_ok
     report(10, passed == 20, f"{passed}/20 seeds satisfy both bounds",
            time.monotonic() - start, 10.0)

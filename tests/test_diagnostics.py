@@ -4,40 +4,53 @@ import math
 import numpy as np
 import pytest
 
-import prbench as pb
-from prbench.diagnostics import _iterates, loo_sequence, quadratic_parameters
-from prbench.objective import hessian
+from prbench.diagnostics import (
+    _iterates,
+    concentration_report,
+    loo_run,
+    loo_sequence,
+    quadratic_oracle,
+    quadratic_parameters,
+)
+from prbench.model import (
+    SensingEnsemble,
+    observe,
+    random_ground_truth,
+    sample_ensemble,
+    sample_unit_sphere,
+)
 from prbench.ric import loo_threshold
-from prbench.solvers import Method
+from prbench.solvers import Method, SolverParams, default_params, run
 
 from conftest import make_problem
+from reference import contraction_matrix_hb, cost, hessian
 
 
 def capped_defaults(n, norm_x0, method, max_iters=200):
-    params = pb.default_params(n, norm_x0, method)
+    params = default_params(n, norm_x0, method)
     return dataclasses.replace(params, max_iters=max_iters)
 
 
 class TestQuadraticOracle:
     def test_exact_convergence_at_kappa_one(self):
-        assert pb.quadratic_oracle(1.0, 1.0, Method.GD, steps=100) == 0.0
+        assert quadratic_oracle(1.0, 1.0, Method.GD, steps=100) == 0.0
 
     def test_gd_rate(self):
-        ratio = pb.quadratic_oracle(1.0, 100.0, Method.GD)
+        ratio = quadratic_oracle(1.0, 100.0, Method.GD)
         assert ratio == pytest.approx(0.99, abs=0.005)
 
     def test_hb_rate(self):
-        ratio = pb.quadratic_oracle(1.0, 100.0, Method.POLYAK)
+        ratio = quadratic_oracle(1.0, 100.0, Method.POLYAK)
         assert ratio <= 9.0 / 11.0 + 0.02
 
     def test_nesterov_rate(self):
-        ratio = pb.quadratic_oracle(1.0, 100.0, Method.NESTEROV)
+        ratio = quadratic_oracle(1.0, 100.0, Method.NESTEROV)
         assert ratio <= 0.9 + 0.02
 
     def test_momentum_beats_gd(self):
-        gd = pb.quadratic_oracle(1.0, 100.0, Method.GD)
-        assert pb.quadratic_oracle(1.0, 100.0, Method.POLYAK) < gd
-        assert pb.quadratic_oracle(1.0, 100.0, Method.NESTEROV) < gd
+        gd = quadratic_oracle(1.0, 100.0, Method.GD)
+        assert quadratic_oracle(1.0, 100.0, Method.POLYAK) < gd
+        assert quadratic_oracle(1.0, 100.0, Method.NESTEROV) < gd
 
     def test_parameters(self):
         mu, L = 1.0, 100.0
@@ -51,29 +64,29 @@ class TestQuadraticOracle:
 
     def test_rejects_bad_curvatures(self):
         with pytest.raises(ValueError):
-            pb.quadratic_oracle(2.0, 1.0, Method.GD)
+            quadratic_oracle(2.0, 1.0, Method.GD)
 
 
 class TestConcentrationReport:
     def test_twenty_seeds_pass(self):
         for seed in range(20):
-            ens = pb.sample_ensemble(1000, 100, seed)
-            rep = pb.concentration_report(ens, pb.sample_unit_sphere(100, seed))
+            ens = sample_ensemble(1000, 100, seed)
+            rep = concentration_report(ens, sample_unit_sphere(100, seed))
             assert rep.row_norm_ok and rep.projection_ok
 
     def test_zero_probe(self):
-        ens = pb.sample_ensemble(10, 8, seed=0)
-        rep = pb.concentration_report(ens, np.zeros(8))
+        ens = sample_ensemble(10, 8, seed=0)
+        rep = concentration_report(ens, np.zeros(8))
         assert rep.projection_ok and rep.max_projection == 0.0
 
     def test_rejects_small_n(self):
-        ens = pb.sample_ensemble(10, 2, seed=0)
+        ens = sample_ensemble(10, 2, seed=0)
         with pytest.raises(ValueError):
-            pb.concentration_report(ens, np.zeros(2))
+            concentration_report(ens, np.zeros(2))
 
     def test_bounds_values(self):
-        ens = pb.sample_ensemble(50, 9, seed=1)
-        rep = pb.concentration_report(ens, pb.sample_unit_sphere(9, 2))
+        ens = sample_ensemble(50, 9, seed=1)
+        rep = concentration_report(ens, sample_unit_sphere(9, 2))
         assert rep.row_norm_bound == pytest.approx(math.sqrt(54))
         assert rep.projection_bound == pytest.approx(5 * math.sqrt(math.log(9)))
 
@@ -87,17 +100,17 @@ class TestLooRun:
         )
 
     def test_zero_proximity_at_start(self):
-        bundle = pb.loo_run(self.ens, self.y, self.x0, self.params, self.gt)
+        bundle = loo_run(self.ens, self.y, self.x0, self.params, self.gt)
         assert bundle.proximity[0] == 0.0
         assert np.array_equal(bundle.dist_main[:, 0], np.zeros(self.m))
 
     def test_single_measurement_sequence_frozen(self):
         # removing the only row leaves the zero cost; GD never moves
-        ens = pb.sample_ensemble(1, 4, seed=0)
-        gt = pb.random_ground_truth(4, 0)
-        y = pb.observe(ens, gt)
+        ens = sample_ensemble(1, 4, seed=0)
+        gt = random_ground_truth(4, 0)
+        y = observe(ens, gt)
         x0 = np.array([1.0, -2.0, 0.5, 0.25])
-        params = pb.SolverParams(method=Method.GD, eta=0.1, max_iters=10)
+        params = SolverParams(method=Method.GD, eta=0.1, max_iters=10)
         seq = loo_sequence(ens, y, x0, params, 0, 10)
         assert np.array_equal(seq, np.tile(x0, (11, 1)))
 
@@ -106,7 +119,7 @@ class TestLooRun:
         clean = loo_sequence(self.ens, self.y, self.x0, self.params, 5, steps)
         rows = self.ens.rows.copy()
         rows[5] = np.nan
-        poisoned = pb.SensingEnsemble(rows=rows, seed=self.seed)
+        poisoned = SensingEnsemble(rows=rows, seed=self.seed)
         again = loo_sequence(poisoned, self.y, self.x0, self.params, 5, steps)
         assert np.array_equal(clean, again)
         # any other sequence does read row 5 and is destroyed by the poison
@@ -114,8 +127,8 @@ class TestLooRun:
         assert np.isnan(other[-1]).all()
 
     def test_proximity_matches_sequences(self):
-        bundle = pb.loo_run(self.ens, self.y, self.x0, self.params, self.gt)
-        steps = pb.run(self.ens, self.y, self.x0, self.params, gt=self.gt).n_steps
+        bundle = loo_run(self.ens, self.y, self.x0, self.params, self.gt)
+        steps = run(self.ens, self.y, self.x0, self.params, gt=self.gt).n_steps
         main = _iterates(self.ens.rows, self.y, self.x0, self.params, steps, self.m)
         by_hand = np.array([
             np.linalg.norm(
@@ -133,12 +146,12 @@ class TestLooRun:
         # loo_run rebuilds the main iterates with _iterates, so its iterates
         # must give run's dist and cost columns bit for bit
         beta = 0.0 if method is Method.GD else 0.5
-        params = pb.SolverParams(method, eta=self.params.eta, beta=beta, max_iters=80)
-        trace = pb.run(self.ens, self.y, self.x0, params, gt=self.gt)
+        params = SolverParams(method, eta=self.params.eta, beta=beta, max_iters=80)
+        trace = run(self.ens, self.y, self.x0, params, gt=self.gt)
         xs = _iterates(self.ens.rows, self.y, self.x0, params, trace.n_steps, self.m)
         target = trace.sign * self.gt.x_star
         assert np.array_equal(trace.dist, [np.linalg.norm(x - target) for x in xs])
-        assert np.array_equal(trace.cost, [pb.cost(self.ens, self.y, x) for x in xs])
+        assert np.array_equal(trace.cost, [cost(self.ens, self.y, x) for x in xs])
 
     def test_threshold_value(self):
         assert loo_threshold(100) == pytest.approx(5.0 * math.sqrt(math.log(100) / 100))
@@ -154,9 +167,9 @@ class TestLooIncoherenceChain:
         n, m, seed = 32, 64, 1
         ens, gt, y, x0 = make_problem(n, m, seed)
         params = capped_defaults(n, float(np.linalg.norm(x0)), Method.POLYAK, 60)
-        trace = pb.run(ens, y, x0, params, gt=gt)
+        trace = run(ens, y, x0, params, gt=gt)
         xs = _iterates(ens.rows, y, x0, params, trace.n_steps, m)
-        bundle = pb.loo_run(ens, y, x0, params, gt)
+        bundle = loo_run(ens, y, x0, params, gt)
         target = trace.sign * gt.x_star
         row_norms = np.linalg.norm(ens.rows, axis=1)
         proj_const = 5.0 * math.sqrt(math.log(n))
@@ -179,15 +192,15 @@ class TestContractionConsistency:
         n = 32
         m = int(round(10 * n * math.log(n)))
         ens, gt, y, x0 = make_problem(n, m, 0)
-        params = pb.default_params(n, float(np.linalg.norm(x0)), Method.POLYAK)
-        trace = pb.run(ens, y, x0, params, gt=gt)
+        params = default_params(n, float(np.linalg.norm(x0)), Method.POLYAK)
+        trace = run(ens, y, x0, params, gt=gt)
         xs = _iterates(ens.rows, y, x0, params, trace.n_steps, m)
         assert trace.converged
         assert trace.loc_ok.all() and trace.inc_ok.all()
         target = trace.sign * gt.x_star
         for t in range(1, trace.n_steps + 1, 7):
             midpoint = 0.5 * (xs[t - 1] + target)
-            mat = pb.contraction_matrix_hb(
+            mat = contraction_matrix_hb(
                 hessian(ens, y, midpoint), params.eta, params.beta
             )
             assert trace.contraction_ratio[t] <= np.linalg.norm(mat, 2) + 0.05
@@ -201,8 +214,8 @@ class TestLatePhaseImplication:
         m = int(round(10 * n * math.log(n)))
         ens, gt, y, x0 = make_problem(n, m, seed)
         assert np.linalg.norm(ens.rows, axis=1).max() <= math.sqrt(6 * n)
-        params = pb.default_params(n, float(np.linalg.norm(x0)), Method.NESTEROV)
-        trace = pb.run(ens, y, x0, params, gt=gt)
+        params = default_params(n, float(np.linalg.norm(x0)), Method.NESTEROV)
+        trace = run(ens, y, x0, params, gt=gt)
         cutoff = 5.0 * math.sqrt(math.log(n)) / math.sqrt(6 * n)
         late = trace.dist <= cutoff
         assert late.any()

@@ -434,8 +434,8 @@ class TestCli:
         ["sweep", "--c1", "0"],
         ["cdp", "--cdp_size", "300"],
         ["cdp", "--image", "no_such_dir/missing.pgm"],
-        ["headtohead", "--n_list", "16", "--seed_list", "0", "--fit_floor", "-1"],
-        ["headtohead", "--n_list", "16", "--seed_list", "0", "--fit_floor", "1e-7"],
+        ["headtohead", "--n_list", "16", "--seed_list", "0", "--tol", "0.5"],
+        ["headtohead", "--n_list", "16", "--seed_list", "0", "--fit_floor", "0.5"],
         ["cdp", "--methods", "gd,gd", "--cdp_size", "8", "--mask_count", "2",
          "--cdp_iters", "2"],
         ["sweep", "--methods", "gd,gd", "--n_list", "10", "--m_list", "50"],

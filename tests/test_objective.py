@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import prbench as pb
-from prbench.objective import cost, gradient, hessian, hessian_extremes
+from prbench.model import SensingEnsemble, sample_ensemble, sample_unit_sphere
 
 from conftest import make_problem
+from reference import cost, gradient, hessian, hessian_extremes
 
 
 def fd_gradient(ens, y, x, h):
@@ -29,7 +29,7 @@ def fd_hessian(ens, y, x, h):
 
 
 def single_term_problem():
-    ens = pb.SensingEnsemble(rows=np.array([[1.0]]), seed=0)
+    ens = SensingEnsemble(rows=np.array([[1.0]]), seed=0)
     return ens, np.array([1.0])
 
 
@@ -58,7 +58,7 @@ class TestCost:
     @settings(max_examples=20, deadline=None)
     def test_even_symmetry(self, seed):
         ens, _, y, _ = make_problem(6, 18, 0)
-        x = pb.sample_unit_sphere(6, seed) * 1.7
+        x = sample_unit_sphere(6, seed) * 1.7
         assert cost(ens, y, x) == cost(ens, y, -x)
 
 
@@ -74,7 +74,7 @@ class TestGradient:
     def test_finite_difference_ten_points(self):
         ens, _, y, _ = make_problem(20, 60, 5)
         for seed in range(10):
-            x = pb.sample_unit_sphere(20, 100 + seed) * (0.5 + 0.1 * seed)
+            x = sample_unit_sphere(20, 100 + seed) * (0.5 + 0.1 * seed)
             h = 1e-5 * (1 + np.linalg.norm(x))
             g = gradient(ens, y, x)
             fd = fd_gradient(ens, y, x, h)
@@ -84,7 +84,7 @@ class TestGradient:
     @settings(max_examples=20, deadline=None)
     def test_odd_symmetry(self, seed):
         ens, _, y, _ = make_problem(6, 18, 0)
-        x = pb.sample_unit_sphere(6, seed) * 0.9
+        x = sample_unit_sphere(6, seed) * 0.9
         assert np.array_equal(gradient(ens, y, -x), -gradient(ens, y, x))
 
 
@@ -100,7 +100,7 @@ class TestHessian:
 
     def test_finite_difference(self, small_problem):
         ens, _, y, _ = small_problem
-        x = pb.sample_unit_sphere(ens.n, 42) * 1.1
+        x = sample_unit_sphere(ens.n, 42) * 1.1
         h = 1e-5 * (1 + np.linalg.norm(x))
         analytic = hessian(ens, y, x)
         fd = fd_hessian(ens, y, x, h)
@@ -113,7 +113,7 @@ class TestHessian:
         assert eigs.max() <= 1e-12
 
     def test_dense_limit(self):
-        ens = pb.sample_ensemble(4, 513, seed=0)
+        ens = sample_ensemble(4, 513, seed=0)
         for fn in (hessian, hessian_extremes):
             with pytest.raises(ValueError, match="n <= 512"):
                 fn(ens, np.ones(4), np.zeros(513))

@@ -1,29 +1,59 @@
 import ast
 import dataclasses
-import inspect
 import pathlib
 import re
 
-import prbench as pb
-from prbench import cli
+import prbench
+from prbench import cdp, cli
 from prbench.harness import ExperimentConfig
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+PACKAGE = pathlib.Path(prbench.__file__).parent
 
 
-def test_export_list_matches_imports():
-    # every exported name resolves, and every public name the package
-    # imports is exported
-    missing = [name for name in pb.__all__ if not hasattr(pb, name)]
-    assert not missing
-    tree = ast.parse(inspect.getsource(pb))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    unexported = {name for name in imported if not name.startswith("_")} - set(pb.__all__)
-    assert not unexported
+def _top_level_names(path):
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_references_live_only_in_tests():
+    # the package binds no names a second time, and each test-only
+    # reference has one home, tests/reference.py
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert not [n for n in ast.walk(init) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    references = _top_level_names(ROOT / "tests" / "reference.py")
+    assert references
+    for path in PACKAGE.glob("*.py"):
+        assert not _top_level_names(path) & references, path.name
+
+
+def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
+    # the attributes the benchmark patches exist, and its small tasks run
+    # through the CLI and yield the per-task results it checks
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+    import workloads
+
+    recorder = spans.Recorder()
+    recorder.tracing = True
+    spans.instrument(recorder)
+    try:
+        summaries = [
+            workloads.run_task(task, recorder, cli.main, cdp.fft_call_count).summary
+            for task in workloads.build_inputs("sweep", str(tmp_path)).small
+        ]
+    finally:
+        recorder.restore()
+    assert len(summaries) == 4
+    assert all(summary["exit"] in (0, 1) for summary in summaries)
+    carried = set().union(*summaries)
+    assert {"power_iters", "runs", "loo_steps", "cdp_power_iters", "cdp_status"} <= carried
 
 
 def test_readme_layout_lists_modules():
@@ -31,8 +61,7 @@ def test_readme_layout_lists_modules():
     text = README.read_text(encoding="utf-8")
     layout = re.search(r"## Layout\n\n```\n(.*?)```", text, flags=re.S).group(1)
     listed = set(re.findall(r"^\s+(\w+\.py)\s", layout, flags=re.M))
-    package = pathlib.Path(pb.__file__).parent
-    assert listed == {p.name for p in package.glob("*.py")} - {"__init__.py"}
+    assert listed == {p.name for p in PACKAGE.glob("*.py")} - {"__init__.py"}
 
 
 def test_readme_cli_matches_config():
@@ -52,9 +81,8 @@ def test_readme_cli_matches_config():
 def test_every_raise_is_a_cli_error_type():
     # cli.main maps ValueError and OSError to exit 2; a raise of any other
     # type would escape it as a traceback
-    package = pathlib.Path(pb.__file__).parent
     raised = set()
-    for path in package.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Raise):
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc

@@ -3,10 +3,20 @@ import math
 import numpy as np
 import pytest
 
-import prbench as pb
-from prbench.solvers import Method, Status, momentum_step, override_params
+from prbench.model import SensingEnsemble, ground_truth
+from prbench.solvers import (
+    Method,
+    SolverParams,
+    Status,
+    default_params,
+    momentum_step,
+    override_params,
+    run,
+    theory_params,
+)
 
 from conftest import make_problem
+from reference import cost, gradient
 
 
 def scalar_recursion(method, mu, L, eta, beta, steps):
@@ -33,12 +43,12 @@ def scalar_recursion(method, mu, L, eta, beta, steps):
 
 
 def tiny_problem():
-    ens = pb.SensingEnsemble(rows=np.array([[1.0]]), seed=0)
-    return ens, np.array([1.0]), pb.ground_truth([1.0])
+    ens = SensingEnsemble(rows=np.array([[1.0]]), seed=0)
+    return ens, np.array([1.0]), ground_truth([1.0])
 
 
 def grad_of(ens, y):
-    return lambda x: pb.gradient(ens, y, x)
+    return lambda x: gradient(ens, y, x)
 
 
 class TestSteps:
@@ -47,8 +57,8 @@ class TestSteps:
     def test_gd_single_coordinate(self):
         # gradient at x=2 is 6, so x moves to 2 - 0.1 * 6 = 1.4
         ens, y, gt = tiny_problem()
-        params = pb.SolverParams(method=Method.GD, eta=0.1, max_iters=1)
-        trace = pb.run(ens, y, np.array([2.0]), params, gt=gt)
+        params = SolverParams(method=Method.GD, eta=0.1, max_iters=1)
+        trace = run(ens, y, np.array([2.0]), params, gt=gt)
         x1 = 2.0 - 0.1 * 6.0
         assert trace.dist[0] == 1.0
         assert trace.dist[1] == abs(x1 - 1.0)
@@ -120,7 +130,7 @@ class TestScalarRecursionRates:
 
 class TestDefaultParams:
     def test_values_at_n_100(self):
-        params = pb.default_params(100, 1.0, Method.POLYAK)
+        params = default_params(100, 1.0, Method.POLYAK)
         assert params.eta == pytest.approx(0.05 / math.log(100), rel=1e-12)
         expected_beta = (math.sqrt(math.log(100)) - math.sqrt(2.0)) / (
             math.sqrt(math.log(100)) + math.sqrt(2.0)
@@ -129,67 +139,67 @@ class TestDefaultParams:
         assert params.beta == pytest.approx(0.20553807629439591, rel=1e-12)
 
     def test_gd_beta_zero(self):
-        params = pb.default_params(100, 1.0, Method.GD)
+        params = default_params(100, 1.0, Method.GD)
         assert params.beta == 0.0
         assert params.eta == pytest.approx(0.05 / math.log(100), rel=1e-12)
 
     def test_norm_scaling(self):
-        unit = pb.default_params(64, 1.0, Method.GD)
-        doubled = pb.default_params(64, 2.0, Method.GD)
+        unit = default_params(64, 1.0, Method.GD)
+        doubled = default_params(64, 2.0, Method.GD)
         assert doubled.eta == pytest.approx(unit.eta / 4.0, rel=1e-12)
 
     def test_rejects_n_below_two(self):
         with pytest.raises(ValueError):
-            pb.default_params(1, 1.0, Method.GD)
+            default_params(1, 1.0, Method.GD)
 
     def test_momentum_clamped_for_tiny_n(self):
         # log n < 2 would make the formula negative
-        params = pb.default_params(4, 1.0, Method.POLYAK)
+        params = default_params(4, 1.0, Method.POLYAK)
         assert params.beta == 0.0
 
     def test_theory_momentum_larger(self):
-        exp = pb.default_params(64, 1.0, Method.POLYAK)
-        thy = pb.theory_params(64, 1.0, Method.POLYAK)
+        exp = default_params(64, 1.0, Method.POLYAK)
+        thy = theory_params(64, 1.0, Method.POLYAK)
         assert thy.beta > exp.beta
         assert thy.eta == exp.eta
 
     def test_override_rule(self):
-        base = pb.default_params(64, 1.0, Method.POLYAK)
+        base = default_params(64, 1.0, Method.POLYAK)
         assert override_params(base, None, None) == base
         both = override_params(base, 0.01, 0.3, max_iters=7)
         assert (both.eta, both.beta, both.max_iters) == (0.01, 0.3, 7)
         # gradient descent keeps beta = 0 under a beta override
-        gd = override_params(pb.default_params(64, 1.0, Method.GD), 0.01, 0.3)
+        gd = override_params(default_params(64, 1.0, Method.GD), 0.01, 0.3)
         assert (gd.eta, gd.beta) == (0.01, 0.0)
 
 
 class TestSolverParamsValidation:
     def test_gd_requires_zero_beta(self):
         with pytest.raises(ValueError):
-            pb.SolverParams(method=Method.GD, eta=0.1, beta=0.5)
+            SolverParams(method=Method.GD, eta=0.1, beta=0.5)
 
     def test_beta_range(self):
         with pytest.raises(ValueError):
-            pb.SolverParams(method=Method.POLYAK, eta=0.1, beta=1.0)
+            SolverParams(method=Method.POLYAK, eta=0.1, beta=1.0)
 
     def test_eta_positive(self):
         with pytest.raises(ValueError):
-            pb.SolverParams(method=Method.GD, eta=0.0)
+            SolverParams(method=Method.GD, eta=0.0)
 
 
 class TestRun:
     def test_converges_immediately_at_truth(self, small_problem):
         ens, gt, y, _ = small_problem
-        params = pb.SolverParams(method=Method.GD, eta=0.01)
-        trace = pb.run(ens, y, gt.x_star, params, gt=gt)
+        params = SolverParams(method=Method.GD, eta=0.01)
+        trace = run(ens, y, gt.x_star, params, gt=gt)
         assert trace.status is Status.CONVERGED
         assert trace.n_steps == 0
 
     def test_golden_trace_gd_seed0(self):
         # frozen once from the recorded run at n=10, m=200, spectral init
         ens, gt, y, x0 = make_problem(10, 200, 0)
-        params = pb.default_params(10, float(np.linalg.norm(x0)), Method.GD)
-        trace = pb.run(ens, y, x0, params, gt=gt)
+        params = default_params(10, float(np.linalg.norm(x0)), Method.GD)
+        trace = run(ens, y, x0, params, gt=gt)
         assert trace.status is Status.CONVERGED
         assert trace.n_steps == 577
         golden = {
@@ -208,16 +218,16 @@ class TestRun:
         norm0 = float(np.linalg.norm(x0))
         runs = {}
         for method in (Method.GD, Method.POLYAK):
-            params = pb.default_params(10, norm0, method)
-            runs[method] = pb.run(ens, y, x0, params, gt=gt)
+            params = default_params(10, norm0, method)
+            runs[method] = run(ens, y, x0, params, gt=gt)
         assert runs[Method.POLYAK].converged and runs[Method.GD].converged
         assert runs[Method.POLYAK].n_steps < runs[Method.GD].n_steps
 
     def test_mirrored_start_same_columns(self):
         ens, gt, y, x0 = make_problem(12, 240, 3)
-        params = pb.default_params(12, float(np.linalg.norm(x0)), Method.POLYAK)
-        plus = pb.run(ens, y, x0, params, gt=gt)
-        minus = pb.run(ens, y, -x0, params, gt=gt)
+        params = default_params(12, float(np.linalg.norm(x0)), Method.POLYAK)
+        plus = run(ens, y, x0, params, gt=gt)
+        minus = run(ens, y, -x0, params, gt=gt)
         assert minus.sign == -plus.sign
         assert np.array_equal(plus.dist, minus.dist)
         assert np.array_equal(plus.cost, minus.cost)
@@ -225,22 +235,22 @@ class TestRun:
 
     def test_divergence_status_not_exception(self):
         ens, gt, y, x0 = make_problem(8, 160, 1)
-        params = pb.SolverParams(method=Method.GD, eta=50.0, max_iters=200)
-        trace = pb.run(ens, y, x0, params, gt=gt)
+        params = SolverParams(method=Method.GD, eta=50.0, max_iters=200)
+        trace = run(ens, y, x0, params, gt=gt)
         assert trace.status is Status.DIVERGED
 
     def test_overflowing_step_diverges(self):
         # the first step overflows to -inf; the run stops after one row
         ens, y, gt = tiny_problem()
-        params = pb.SolverParams(method=Method.GD, eta=1e308)
-        trace = pb.run(ens, y, np.array([2.0]), params, gt=gt)
+        params = SolverParams(method=Method.GD, eta=1e308)
+        trace = run(ens, y, np.array([2.0]), params, gt=gt)
         assert trace.status is Status.DIVERGED
         assert trace.iters.shape[0] == 1
 
     def test_max_iters_status(self):
         ens, gt, y, x0 = make_problem(8, 160, 1)
-        params = pb.SolverParams(method=Method.GD, eta=1e-6, max_iters=5)
-        trace = pb.run(ens, y, x0, params, gt=gt)
+        params = SolverParams(method=Method.GD, eta=1e-6, max_iters=5)
+        trace = run(ens, y, x0, params, gt=gt)
         assert trace.status is Status.MAX_ITERS
         assert trace.iters.shape[0] == 6
 
@@ -249,15 +259,15 @@ class TestRun:
         eta = 0.01
         expected = momentum_step(Method.GD, x0, x0, grad_of(ens, y), eta, 0.0)
         for method, beta in ((Method.GD, 0.0), (Method.POLYAK, 0.6), (Method.NESTEROV, 0.6)):
-            params = pb.SolverParams(method=method, eta=eta, beta=beta, max_iters=1)
-            trace = pb.run(ens, y, x0, params, gt=gt)
+            params = SolverParams(method=method, eta=eta, beta=beta, max_iters=1)
+            trace = run(ens, y, x0, params, gt=gt)
             assert trace.dist[1] == np.linalg.norm(expected - trace.sign * gt.x_star)
-            assert trace.cost[1] == pb.cost(ens, y, expected)
+            assert trace.cost[1] == cost(ens, y, expected)
 
     def test_paired_norm_and_ratio_columns(self):
         ens, gt, y, x0 = make_problem(10, 200, 0)
-        params = pb.default_params(10, float(np.linalg.norm(x0)), Method.POLYAK)
-        trace = pb.run(ens, y, x0, params, gt=gt)
+        params = default_params(10, float(np.linalg.norm(x0)), Method.POLYAK)
+        trace = run(ens, y, x0, params, gt=gt)
         assert trace.paired_norm[0] == pytest.approx(math.sqrt(2) * trace.dist[0])
         assert math.isnan(trace.contraction_ratio[0])
         assert trace.contraction_ratio[5] == pytest.approx(
@@ -279,8 +289,8 @@ class TestRateChecks:
 
     def _trace(self, seed, method):
         ens, gt, y, x0 = make_problem(self.n, self.m, seed)
-        params = pb.default_params(self.n, float(np.linalg.norm(x0)), method)
-        trace = pb.run(ens, y, x0, params, gt=gt)
+        params = default_params(self.n, float(np.linalg.norm(x0)), method)
+        trace = run(ens, y, x0, params, gt=gt)
         assert trace.converged
         return trace
 

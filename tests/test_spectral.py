@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-import prbench as pb
 from prbench import rng
-from prbench.spectral import _POWER_STREAM, leading_eigenpair
+from prbench.model import random_ground_truth, sample_ensemble
+from prbench.spectral import _POWER_STREAM, leading_eigenpair, random_init, spectral_init
 
 from conftest import make_problem
+from reference import dist
 
 
 def population_matvec(x_star):
@@ -18,12 +19,12 @@ def population_matvec(x_star):
 
 class TestLeadingEigenpair:
     def test_population_operator(self):
-        gt = pb.random_ground_truth(5, 3)
+        gt = random_ground_truth(5, 3)
         v0 = rng.normals(3, _POWER_STREAM, 5)
         res = leading_eigenpair(population_matvec(gt.x_star), v0, tol=1e-10)
         assert res.lambda1 == pytest.approx(3.0, abs=1e-9)
         x0 = math.sqrt(res.lambda1 / 3.0) * res.x0
-        assert pb.dist(x0, gt.x_star) <= 1e-8
+        assert dist(x0, gt.x_star) <= 1e-8
 
     def test_nonconvergence_carries_residual(self):
         # two-cycle operator never settles
@@ -40,7 +41,7 @@ class TestLeadingEigenpair:
 class TestSpectralInit:
     def test_report_invariants(self):
         ens, _, y, _ = make_problem(40, 800, 1)
-        rep = pb.spectral_init(ens, y)
+        rep = spectral_init(ens, y)
         assert np.linalg.norm(rep.x0) == pytest.approx(
             math.sqrt(rep.lambda1 / 3.0), rel=1e-10
         )
@@ -52,44 +53,44 @@ class TestSpectralInit:
         worst = 0.0
         for seed in range(20):
             ens, gt, y, _ = make_problem(50, 5000, seed)
-            rep = pb.spectral_init(ens, y)
-            worst = max(worst, pb.dist(rep.x0, gt.x_star))
+            rep = spectral_init(ens, y)
+            worst = max(worst, dist(rep.x0, gt.x_star))
         assert worst <= 0.3
 
     def test_scaling_homogeneity(self):
         ens, _, y, _ = make_problem(25, 500, 6)
-        base = pb.spectral_init(ens, y)
-        scaled = pb.spectral_init(ens, 2.5 * y)
+        base = spectral_init(ens, y)
+        scaled = spectral_init(ens, 2.5 * y)
         assert scaled.lambda1 == pytest.approx(2.5 * base.lambda1, rel=1e-9)
         assert np.allclose(scaled.x0, math.sqrt(2.5) * base.x0, rtol=1e-9)
 
     def test_sign_canonical_and_deterministic(self):
         ens, _, y, _ = make_problem(12, 300, 8)
-        a = pb.spectral_init(ens, y)
-        b = pb.spectral_init(ens, y)
+        a = spectral_init(ens, y)
+        b = spectral_init(ens, y)
         assert np.array_equal(a.x0, b.x0)
         nz = np.flatnonzero(a.x0)
         assert a.x0[nz[0]] > 0
 
     def test_degenerate_spectrum(self):
-        ens = pb.sample_ensemble(5, 3, seed=0)
+        ens = sample_ensemble(5, 3, seed=0)
         with pytest.raises(ValueError, match="annihilated"):
-            pb.spectral_init(ens, np.zeros(5))
+            spectral_init(ens, np.zeros(5))
 
 
 class TestRandomInit:
     def test_deterministic(self):
-        x = pb.random_init(5, 2)
-        assert np.array_equal(x, pb.random_init(5, 2))
+        x = random_init(5, 2)
+        assert np.array_equal(x, random_init(5, 2))
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
 
     def test_distinct_seeds(self):
-        assert not np.array_equal(pb.random_init(5, 2), pb.random_init(5, 3))
+        assert not np.array_equal(random_init(5, 2), random_init(5, 3))
 
     def test_independent_of_ground_truth_stream(self):
-        gt = pb.random_ground_truth(16, 4)
-        assert pb.dist(pb.random_init(16, 4), gt.x_star) > 0.1
+        gt = random_ground_truth(16, 4)
+        assert dist(random_init(16, 4), gt.x_star) > 0.1
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            pb.random_init(0, 1)
+            random_init(0, 1)
