@@ -42,13 +42,18 @@ case_ loo_256 loo --n_list 100 --m_list 256 --seed_list 4 --methods polyak --max
 case_ loo_461 loo --n_list 100 --m_list 461 --loo_budget_m 461 --seed_list 1 \
     --methods nesterov --max_iters 500
 case_ loo_budget loo --n_list 100 --m_list 461
-# coded diffraction: defaults, no GD, a graymap input, and diverging steps
+# coded diffraction: defaults, no GD, square and non-square graymap inputs, and
+# diverging steps
 case_ cdp_default cdp
 case_ cdp_no_gd cdp --methods polyak,nesterov
 mkdir -p "$out/cdp_image"
 python3 -c "import sys; sys.stdout.buffer.write(b'P5\n16 16\n255\n'
     + bytes((7 * i + 3 * (i // 16)) % 256 for i in range(256)))" >"$out/cdp_image/image.pgm"
 case_ cdp_image cdp --image image.pgm --mask_count 6 --cdp_iters 40
+mkdir -p "$out/cdp_image_rect"
+python3 -c "import sys; sys.stdout.buffer.write(b'P5\n20 12\n255\n'
+    + bytes((7 * i + 3 * (i // 20)) % 256 for i in range(240)))" >"$out/cdp_image_rect/image.pgm"
+case_ cdp_image_rect cdp --image image.pgm --mask_count 6 --cdp_iters 60 --seed_list 2
 case_ cdp_diverge cdp --eta 1000
 case_ cdp_diverge_no_gd cdp --eta 1000 --methods polyak,nesterov --mask_count 4 --cdp_size 16
 mkdir -p "$out/cdp_image_range"

@@ -3,9 +3,9 @@ Wirtinger flow with momentum.
 
 The measurement operator stacks L blocks, block l being the unitary DFT of
 the signal modulated by random mask d_l, observed as squared magnitudes.
-Signals are stored as vectors; two-dimensional images use the row-major
-vectorization and a 2-D FFT.  Recovery error is measured up to a global
-phase, which the observations cannot see.
+Signals keep the image's shape; masks and observations stack L blocks of
+that shape, and each transform is one FFT over the image axes.  Recovery
+error is measured up to a global phase, which the observations cannot see.
 """
 
 from __future__ import annotations
@@ -30,26 +30,10 @@ def fft_call_count() -> int:
     return _fft_calls
 
 
-@dataclass(frozen=True)
-class CdpMasks:
-    """L octanary modulation masks over a signal of the given shape."""
-
-    masks: np.ndarray
-    shape: tuple[int, ...]
-    seed: int
-
-    @property
-    def L(self) -> int:
-        return self.masks.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.masks.shape[1]
-
-
-def sample_masks(shape, L: int, seed: int) -> CdpMasks:
-    """Draw L octanary masks d = b1 * b2: b1 uniform on {1, -1, i, -i},
-    b2 = sqrt(2)/2 with probability 4/5 and sqrt(3) with probability 1/5."""
+def sample_masks(shape, L: int, seed: int) -> np.ndarray:
+    """Draw L octanary masks d = b1 * b2 as a read-only (L, *shape) array:
+    b1 uniform on {1, -1, i, -i}, b2 = sqrt(2)/2 with probability 4/5 and
+    sqrt(3) with probability 1/5."""
     shape = tuple(int(s) for s in np.atleast_1d(shape))
     n = int(np.prod(shape))
     if L < 1 or n < 1:
@@ -59,55 +43,51 @@ def sample_masks(shape, L: int, seed: int) -> CdpMasks:
     u = rng._stream_uniforms(seed, streams, 2 * n)
     b1 = quarter_turns[np.floor(4.0 * u[:, :n]).astype(int)]
     b2 = np.where(u[:, n:] < 0.8, math.sqrt(2.0) / 2.0, math.sqrt(3.0))
-    masks = b1 * b2
+    masks = (b1 * b2).reshape((L,) + shape)
     masks.setflags(write=False)
-    return CdpMasks(masks=masks, shape=shape, seed=seed)
+    return masks
 
 
-def _forward(z: np.ndarray, masks: CdpMasks) -> np.ndarray:
-    """The L blocks DFT(d_l * z) as an (L, n) array, from one batched
-    transform over the stacked (L, *shape) blocks; L FFTs counted."""
+def _forward(z: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The L blocks DFT(d_l * z), stacked like the masks, from one batched
+    transform; L FFTs counted."""
     global _fft_calls
-    _fft_calls += masks.L
-    blocks = (masks.masks * z).reshape((masks.L,) + masks.shape)
-    out = np.fft.fftn(blocks, axes=tuple(range(1, blocks.ndim)), norm="ortho")
-    return out.reshape(masks.L, masks.n)
+    _fft_calls += len(masks)
+    return np.fft.fftn(masks * z, axes=tuple(range(1, masks.ndim)), norm="ortho")
 
 
-def _adjoint(w: np.ndarray, masks: CdpMasks) -> np.ndarray:
-    """sum_l conj(d_l) * IDFT(w_l) over the rows of an (L, n) array, summed in
-    mask order, from one batched inverse transform; L FFTs counted."""
+def _adjoint(w: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """sum_l conj(d_l) * IDFT(w_l) over the blocks of w, summed in mask
+    order, from one batched inverse transform; L FFTs counted."""
     global _fft_calls
-    _fft_calls += masks.L
-    blocks = w.reshape((masks.L,) + masks.shape)
-    blocks = np.fft.ifftn(blocks, axes=tuple(range(1, blocks.ndim)), norm="ortho")
-    return (np.conj(masks.masks) * blocks.reshape(masks.L, masks.n)).sum(axis=0)
+    _fft_calls += len(masks)
+    blocks = np.fft.ifftn(w, axes=tuple(range(1, masks.ndim)), norm="ortho")
+    return (np.conj(masks) * blocks).sum(axis=0)
 
 
-def cdp_observe(z, masks: CdpMasks) -> np.ndarray:
-    """Squared magnitudes |DFT(d_l * z)|^2 stacked into a length L*n vector."""
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.shape[0] != masks.n:
-        raise ValueError(f"signal has length {z.shape[0]}, expected {masks.n}")
-    return (np.abs(_forward(z, masks)) ** 2).ravel()
+def cdp_observe(z, masks: np.ndarray) -> np.ndarray:
+    """Squared magnitudes |DFT(d_l * z)|^2, stacked like the masks."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape != masks.shape[1:]:
+        raise ValueError(f"signal has shape {z.shape}, expected {masks.shape[1:]}")
+    return np.abs(_forward(z, masks)) ** 2
 
 
-def cdp_gradient(z, y, masks: CdpMasks) -> np.ndarray:
+def cdp_gradient(z, y, masks: np.ndarray) -> np.ndarray:
     """(1/m) A^H((|Az|^2 - y) * Az) with m = L*n, via 2L FFTs."""
-    z = np.asarray(z, dtype=complex).ravel()
+    z = np.asarray(z, dtype=complex)
     y = np.asarray(y, dtype=float)
-    n, L = masks.n, masks.L
-    if z.shape[0] != n:
-        raise ValueError(f"signal has length {z.shape[0]}, expected {n}")
-    if y.shape != (L * n,):
-        raise ValueError(f"observations have shape {y.shape}, expected ({L * n},)")
+    if z.shape != masks.shape[1:]:
+        raise ValueError(f"signal has shape {z.shape}, expected {masks.shape[1:]}")
+    if y.shape != masks.shape:
+        raise ValueError(f"observations have shape {y.shape}, expected {masks.shape}")
     w = _forward(z, masks)
-    return _adjoint((np.abs(w) ** 2 - y.reshape(L, n)) * w, masks) / (L * n)
+    return _adjoint((np.abs(w) ** 2 - y) * w, masks) / y.size
 
 
-def cdp_spectral_init(masks: CdpMasks, y) -> SpectralReport:
+def cdp_spectral_init(masks: np.ndarray, y, seed: int) -> SpectralReport:
     """Leading eigenpair of z -> (1/m) A^H(y * Az), reported with the
-    initial point in `x0`.
+    initial point in `x0`; power iteration starts from a draw on `seed`.
 
     The eigenvector is phase-fixed for determinism and scaled to the
     energy-conservation norm estimate sqrt(sum(y) / L).  The eigenvalue is
@@ -118,24 +98,24 @@ def cdp_spectral_init(masks: CdpMasks, y) -> SpectralReport:
     eigenpair is resolved to high precision.
     """
     y = np.asarray(y, dtype=float)
-    n, L = masks.n, masks.L
+    n = masks[0].size
 
     def matvec(v):
-        return _adjoint(y.reshape(L, n) * _forward(v, masks), masks) / (L * n)
+        return _adjoint(y * _forward(v, masks), masks) / y.size
 
-    raw = rng.normals(masks.seed, _INIT_STREAM, 2 * n)
-    v0 = raw[:n] + 1j * raw[n:]
+    raw = rng.normals(seed, _INIT_STREAM, 2 * n)
+    v0 = (raw[:n] + 1j * raw[n:]).reshape(masks.shape[1:])
     report = leading_eigenpair(matvec, v0, tol=1e-3, max_iters=500)
     v = report.x0
     pivot = int(np.argmax(np.abs(v)))
-    v = v * np.exp(-1j * np.angle(v[pivot]))
-    return replace(report, x0=math.sqrt(float(np.sum(y)) / L) * v)
+    v = v * np.exp(-1j * np.angle(v.flat[pivot]))
+    return replace(report, x0=math.sqrt(float(np.sum(y)) / len(masks)) * v)
 
 
 def phase_aligned_rel_err(z, z_star) -> float:
     """min over phases of ||e^{i theta} z - z_star|| / ||z_star||."""
-    z = np.asarray(z, dtype=complex).ravel()
-    z_star = np.asarray(z_star, dtype=complex).ravel()
+    z = np.asarray(z, dtype=complex)
+    z_star = np.asarray(z_star, dtype=complex)
     ref = np.linalg.norm(z_star)
     if ref == 0:
         return float(np.linalg.norm(z))
@@ -149,11 +129,11 @@ def phase_aligned_rel_err(z, z_star) -> float:
 
 @dataclass(frozen=True)
 class CdpProblem:
-    """One drawn CDP instance: the vectorized image, its masks and
-    observations, and the spectral start every method runs from."""
+    """One drawn CDP instance: the image, its masks and observations, and
+    the spectral start every method runs from."""
 
     z_star: np.ndarray
-    masks: CdpMasks
+    masks: np.ndarray
     y: np.ndarray
     init: SpectralReport
 
@@ -164,10 +144,10 @@ def cdp_problem(image, L: int, seed: int) -> CdpProblem:
     image = np.asarray(image, dtype=float)
     if image.size > 1 << 16:
         raise ValueError(f"desk-scale limit is 2^16 pixels, got {image.size}")
-    z_star = image.astype(complex).ravel()
+    z_star = image.astype(complex)
     masks = sample_masks(image.shape, L, seed)
     y = cdp_observe(z_star, masks)
-    return CdpProblem(z_star=z_star, masks=masks, y=y, init=cdp_spectral_init(masks, y))
+    return CdpProblem(z_star, masks, y, cdp_spectral_init(masks, y, seed))
 
 
 @dataclass(frozen=True)
@@ -199,7 +179,7 @@ def cdp_run(
     method = Method(method)
     z_star, masks, y, z0 = problem.z_star, problem.masks, problem.y, problem.init.x0
     params = override_params(
-        default_params(masks.n, math.sqrt(problem.init.lambda1 / 3.0), method), eta, beta,
+        default_params(z_star.size, math.sqrt(problem.init.lambda1 / 3.0), method), eta, beta,
         max_iters=iters,
     )
     grad_fn = lambda z: cdp_gradient(z, y, masks)
@@ -225,7 +205,7 @@ def cdp_run(
         rel_err=np.asarray(rel_err),
         status=status,
         fft_calls_per_iter=tuple(fft_per_iter),
-        recovered=z_curr.reshape(masks.shape),
+        recovered=z_curr,
     )
 
 

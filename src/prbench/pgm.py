@@ -7,25 +7,19 @@ only, quantized to maxval 255.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 
+# a comment runs from '#' at the start of a token to the end of its line
+_TOKEN = re.compile(rb"#[^\n]*|\S+")
+
+
 def _tokens(data: bytes):
-    pos = 0
-    while pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end == -1 else end + 1
-            continue
-        end = pos
-        while end < len(data) and not data[end:end + 1].isspace():
-            end += 1
-        yield pos, data[pos:end]
-        pos = end
+    for match in _TOKEN.finditer(data):
+        if not match.group().startswith(b"#"):
+            yield match.start(), match.group()
 
 
 def read_pgm(path) -> np.ndarray:

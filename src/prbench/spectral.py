@@ -45,7 +45,8 @@ def leading_eigenpair(
     ||A v - lam v|| to drop below `tol` relative to |lam|; the residual
     requirement is what certifies the returned eigenvector, and the
     relative scaling makes the stop rule invariant under scaling of the
-    operator.  Works on real or complex vectors (Hermitian operators).
+    operator.  Takes real or complex arrays of any shape (Hermitian
+    operators); norms and inner products run over all entries.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

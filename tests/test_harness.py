@@ -17,7 +17,7 @@ from prbench.harness import (
     parse_config,
     theory_m,
 )
-from prbench.pgm import write_pgm
+from prbench.pgm import read_pgm, write_pgm
 
 
 class TestConfig:
@@ -495,6 +495,28 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"prbench: {image}: ")
         assert not out.exists()
+
+    def test_cdp_non_square_image(self, tmp_path):
+        # 12 rows by 20 columns: a transposed image anywhere on the path
+        # changes the header, the read-back shape or the error rows
+        image = tmp_path / "rect.pgm"
+        image.write_bytes(b"P5\n20 12\n255\n"
+                          + bytes((7 * i + 3 * (i // 20)) % 256 for i in range(240)))
+        out = tmp_path / "cdp"
+        code = cli.main(["cdp", "--image", str(image), "--mask_count", "4", "--cdp_iters", "5",
+                         "--seed_list", "2", "--out", str(out)])
+        assert code in (0, 1)
+        methods = ("gd", "polyak", "nesterov")
+        for method in methods:
+            recovered = out / f"recovered_{method}.pgm"
+            assert recovered.read_bytes().startswith(b"P5\n20 12\n255\n")
+            assert read_pgm(recovered).shape == (12, 20)
+        problem = cdp.cdp_problem(read_pgm(image), 4, 2)
+        expected = [(method, t, float(err)) for method in methods
+                    for t, err in enumerate(cdp.cdp_run(problem, method, 5).rel_err)]
+        lines = (out / "errors.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+        assert [(m, int(t), float(err)) for m, t, err in rows] == expected
 
     def test_cdp_gd_keeps_zero_beta_under_override(self, tmp_path):
         common = ["cdp", "--methods", "gd,polyak", "--cdp_size", "8",
