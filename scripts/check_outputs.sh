@@ -31,6 +31,10 @@ case_ sweep_spectral sweep --n_list 10,50 --m_list 60,200 --seed_list 0,1,2 --in
 case_ sweep_random sweep --n_list 10,50 --m_list 60,200 --seed_list 0,1,2 --init random
 case_ sweep_beta sweep --n_list 100 --m_list 256 --seed_list 0,1 --methods gd,polyak,nesterov \
     --beta 0.9 --max_iters 3000
+# the bench's 27-cell grid, and a first step whose entries are finite but whose
+# squared norm overflows
+case_ sweep_bench sweep --n_list 10,50,100 --m_list 200,500,1000 --seed_list 0
+case_ sweep_overflow sweep --n_list 10 --m_list 60 --seed_list 0 --eta 1e300
 case_ run_gd run --n_list 10 --m_list 200 --seed_list 0 --methods gd
 case_ run_random run --n_list 50 --m_list 500 --seed_list 3 --methods nesterov --init random
 case_ headtohead headtohead --n_list 64 --seed_list 0,1,2

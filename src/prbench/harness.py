@@ -1,9 +1,11 @@
 """Experiment harness: flat-file configuration, sweep drivers, CSV emitters.
 
-Every output is a deterministic function of the configuration.  Floats are
-written with 17 significant digits so traces round-trip exactly; booleans
-are written as 1/0; terminal metadata rides in trailing `# key=value`
-comment lines.
+Every output is a deterministic function of the configuration.  One writer,
+`_write_csv`, emits every table, and each table declares its header beside
+one %-format string for its rows: `%.17g` for floats, so traces round-trip
+exactly (nan, inf and -0.0 print as `format` prints them), `%d` for ints and
+for booleans (1/0), and `%s` for names.  Terminal metadata rides in trailing
+`# key=value` comment lines.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ TRACE_COLUMNS = (
     "iter", "dist", "cost", "grad_norm", "max_incoherence",
     "loc_ok", "inc_ok", "paired_norm", "contraction_ratio",
 )
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%.17g"
 
 # head-to-head slope fits use the iterates with tol <= dist <= FIT_FLOOR
 FIT_FLOOR = 0.5
@@ -170,22 +173,17 @@ def _sample_count(cfg: ExperimentConfig, n: int, idx: int = 0) -> int:
     return cfg.m_list[idx] if idx < len(cfg.m_list) else theory_m(n)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _write_csv(path, header, row_format, rows, comments=()):
+    """Write `header`, then `row_format % row` per row tuple, then comments.
 
-
-def _write_csv(path, header, rows, comments=()):
+    `%d` is only for columns that hold ints or booleans: it raises on nan and
+    truncates a non-integral float, so any other number takes `%.17g`.
+    """
+    line = row_format + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(line % row for row in rows)
             for comment in comments:
                 fh.write(f"# {comment}\n")
     except OSError as exc:
@@ -214,12 +212,15 @@ def _traces(cfg: ExperimentConfig, n: int, m: int, seed: int, methods, rule):
 
 
 def write_trace(path: str, trace: IterationTrace) -> None:
-    rows = zip(
+    columns = (
         trace.iters, trace.dist, trace.cost, trace.grad_norm,
         trace.max_incoherence, trace.loc_ok, trace.inc_ok,
         trace.paired_norm, trace.contraction_ratio,
     )
-    _write_csv(path, TRACE_COLUMNS, rows, comments=[f"status={trace.status.value}"])
+    # Python ints, floats and bools format faster than numpy scalars
+    rows = zip(*(column.tolist() for column in columns))
+    _write_csv(path, TRACE_COLUMNS, _TRACE_ROW, rows,
+               comments=[f"status={trace.status.value}"])
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -273,7 +274,7 @@ def cmd_headtohead(cfg: ExperimentConfig) -> int:
             slopes.append(slope)
     if slopes:
         comments.append(f"mean_slope={statistics.fmean(slopes):.17g}")
-    _write_csv(cfg.out, ("seed", "iter", "log_dist_a", "log_dist_b"),
+    _write_csv(cfg.out, ("seed", "iter", "log_dist_a", "log_dist_b"), "%d,%d,%.17g,%.17g",
                all_rows, comments=comments)
     return 0
 
@@ -293,7 +294,8 @@ def cmd_slopes(cfg: ExperimentConfig) -> int:
         reference = math.sqrt(math.log(n))
         ok = math.isfinite(mean_slope) and abs(mean_slope - reference) <= 0.3 * reference
         rows.append((n, m, len(slopes), mean_slope, reference, ok))
-    _write_csv(cfg.out, ("n", "m", "seeds", "mean_slope", "sqrt_log_n", "ok"), rows)
+    _write_csv(cfg.out, ("n", "m", "seeds", "mean_slope", "sqrt_log_n", "ok"),
+               "%d,%d,%d,%.17g,%.17g,%d", rows)
     return 0 if all(row[-1] for row in rows) else 1
 
 
@@ -325,10 +327,12 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         m_values = cfg.m_list if cfg.m_list else (theory_m(n),)
         for m in m_values:
             rows.extend(sweep_cell(cfg, n, m, out_dir=cfg.out))
+    # median_iters is nan for a cell with no converged seed and x.5 for an
+    # even seed count, so it is a float column
     _write_csv(
         os.path.join(cfg.out, "summary.csv"),
         ("n", "m", "method", "init", "seeds", "converged", "diverged", "median_iters"),
-        rows,
+        "%d,%d,%s,%s,%d,%d,%d,%.17g", rows,
     )
     return 0
 
@@ -350,7 +354,7 @@ def cmd_loo(cfg: ExperimentConfig) -> int:
     threshold = loo_threshold(n)
     rows = [(t, p, threshold, p <= threshold) for t, p in enumerate(proximity)]
     within = all(row[-1] for row in rows)
-    _write_csv(cfg.out, ("iter", "proximity", "threshold", "ok"), rows,
+    _write_csv(cfg.out, ("iter", "proximity", "threshold", "ok"), "%d,%.17g,%.17g,%d", rows,
                comments=[f"within_threshold={int(within)}"])
     return 0 if within else 1
 
@@ -369,7 +373,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
         measured = quadratic_oracle(1.0, kappa, method, steps=cfg.oracle_steps)
         bound = min(bounds[method], 1.0)
         rows.append((method.value, measured, bound, measured < bound))
-    _write_csv(cfg.out, ("method", "measured_ratio", "bound", "ok"), rows)
+    _write_csv(cfg.out, ("method", "measured_ratio", "bound", "ok"), "%s,%.17g,%.17g,%d", rows)
     return 0 if all(row[-1] for row in rows) else 1
 
 
@@ -389,7 +393,7 @@ def cmd_concentration(cfg: ExperimentConfig) -> int:
         cfg.out,
         ("seed", "max_row_norm", "row_bound", "row_ok",
          "max_projection", "proj_bound", "proj_ok"),
-        rows,
+        "%d,%.17g,%.17g,%d,%.17g,%.17g,%d", rows,
     )
     return 0 if all(row[3] and row[6] for row in rows) else 1
 
@@ -421,7 +425,7 @@ def cmd_cdp(cfg: ExperimentConfig) -> int:
     none_diverged = all(trace.status is not Status.DIVERGED for trace in traces)
     comments.append(f"accelerated_below_gd={int(ok)}")
     comments.append(f"none_diverged={int(none_diverged)}")
-    _write_csv(os.path.join(cfg.out, "errors.csv"), ("method", "iter", "rel_err"),
+    _write_csv(os.path.join(cfg.out, "errors.csv"), ("method", "iter", "rel_err"), "%s,%d,%.17g",
                rows, comments=comments)
     return 0 if ok and none_diverged else 1
 

@@ -156,6 +156,12 @@ def override_params(
     return replace(base, **changes)
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a real vector by np.linalg.norm's own 1-D formula,
+    sqrt(v @ v), without its per-call dispatch."""
+    return math.sqrt(v @ v)
+
+
 def run(
     ens: SensingEnsemble,
     y,
@@ -199,14 +205,16 @@ def run(
             resid = proj * proj - y
             cost_value = float(resid @ resid) / (4.0 * m)
             grad_value = rows.T @ (resid * proj) / m
+            dist_value = _norm(x_curr - target)
             cost.append(cost_value)
-            grad_norm.append(float(np.linalg.norm(grad_value)))
-            dist.append(float(np.linalg.norm(x_curr - target)))
-            max_inc.append(float(np.max(np.abs(proj - target_proj))))
+            grad_norm.append(_norm(grad_value))
+            dist.append(dist_value)
+            max_inc.append(float(np.abs(proj - target_proj).max()))
             if not math.isfinite(cost_value) or cost_value > DIVERGENCE_CAP:
                 status = Status.DIVERGED
                 break
-            if min(dist[-1], float(np.linalg.norm(x_curr + target))) <= params.tol:
+            # the sign-invariant distance; the second sign only when needed
+            if dist_value <= params.tol or _norm(x_curr + target) <= params.tol:
                 status = Status.CONVERGED
                 break
             if t >= params.max_iters:
@@ -215,7 +223,9 @@ def run(
                 params.method, x_curr, x_prev, grad_fn,
                 params.eta, params.beta, grad_at_curr=grad_value,
             )
-            if not np.all(np.isfinite(x_new)):
+            # a finite x_new @ x_new means finite entries; an overflowing one
+            # can still come from finite entries, so then the entries decide
+            if not math.isfinite(x_new @ x_new) and not np.all(np.isfinite(x_new)):
                 status = Status.DIVERGED
                 break
             x_prev, x_curr = x_curr, x_new

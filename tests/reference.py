@@ -2,8 +2,9 @@
 
 The CLI and the solvers never call these: the quartic cost and its dense
 Hessian, the region-of-incoherence-and-contraction (RIC) predicates, the
-pair contraction matrices of the two momentum methods, and the
-sign-invariant distance.
+pair contraction matrices of the two momentum methods, the sign-invariant
+distance, and the per-value CSV cell formatter that the harness's row
+formats must match byte for byte.
 
 cost(x)     = (1/4m) sum_i ((a_i.x)^2 - y_i)^2
 gradient(x) = (1/m)  sum_i ((a_i.x)^2 - y_i) (a_i.x) a_i
@@ -118,3 +119,13 @@ def contraction_matrix_nag(hess: np.ndarray, eta: float, beta: float) -> np.ndar
     top = np.hstack([(1.0 + beta) * shrunk, -beta * shrunk])
     bottom = np.hstack([eye, np.zeros((n, n))])
     return np.vstack([top, bottom])
+
+
+def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")

@@ -18,6 +18,9 @@ from prbench.harness import (
     theory_m,
 )
 from prbench.pgm import read_pgm, write_pgm
+from prbench.solvers import IterationTrace, Status
+
+from reference import _fmt
 
 
 class TestConfig:
@@ -229,6 +232,85 @@ class TestWrappedCommands:
         assert any(l.startswith("# accelerated_below_gd=") for l in lines)
         assert lines[-4:-2] == ["# status_gd=max_iters", "# status_polyak=max_iters"]
         assert lines[-1] == "# none_diverged=1"
+
+
+def reference_csv(header, rows, comments=()) -> str:
+    """A table as one `_fmt` call per value writes it."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [f"# {comment}" for comment in comments]
+    return "".join(line + "\n" for line in lines)
+
+
+class TestRowFormats:
+    """Each table's row format writes the bytes of the per-value formatter."""
+
+    def assert_trace_matches(self, path, trace):
+        harness.write_trace(str(path), trace)
+        rows = zip(
+            trace.iters, trace.dist, trace.cost, trace.grad_norm,
+            trace.max_incoherence, trace.loc_ok, trace.inc_ok,
+            trace.paired_norm, trace.contraction_ratio,
+        )
+        expected = reference_csv(harness.TRACE_COLUMNS, rows, [f"status={trace.status.value}"])
+        assert path.read_text() == expected
+
+    def test_overflow_trace(self, tmp_path):
+        ens, gt, y, x0 = harness._problem(10, 60, 0, "spectral")
+        params = harness.default_params(10, float(np.linalg.norm(x0)), "gd")
+        trace = harness.run(ens, y, x0, harness.override_params(params, 1e300, None), gt)
+        # row 1 holds inf, nan and a finite value above 1e300
+        assert trace.dist[1] == math.inf and math.isnan(trace.grad_norm[1])
+        assert 1e300 < trace.max_incoherence[1] < math.inf
+        self.assert_trace_matches(tmp_path / "t.csv", trace)
+
+    @given(st.lists(st.tuples(st.floats(), st.booleans()), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_trace_special_values(self, tmp_path, values):
+        special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+        floats = np.array([v for v, _ in values] + special)
+        flags = np.array([flag for _, flag in values] + [True, False] * 3 + [True])
+        trace = IterationTrace(
+            iters=np.arange(floats.size), dist=floats, cost=-floats,
+            grad_norm=floats[::-1].copy(), max_incoherence=floats * 0.1,
+            loc_ok=flags, inc_ok=~flags, paired_norm=floats, contraction_ratio=floats,
+            status=Status.MAX_ITERS, sign=1.0,
+        )
+        self.assert_trace_matches(tmp_path / "t.csv", trace)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n_list", "10", "--m_list", "60", "--eta", "1e300"],
+        # n=50 has cells with no converged seed (nan) beside x.5 medians at n=10
+        ["sweep", "--n_list", "10,50", "--m_list", "200", "--seed_list", "0,1",
+         "--init", "random", "--max_iters", "1000"],
+        ["headtohead", "--n_list", "16", "--seed_list", "0,1"],
+        ["slopes", "--n_list", "16,24,32", "--seed_list", "0"],
+        ["loo", "--n_list", "16", "--m_list", "32", "--seed_list", "1",
+         "--methods", "polyak", "--max_iters", "60"],
+        ["oracle", "--oracle_steps", "500"],
+        ["concentration", "--n_list", "100", "--m_list", "1000", "--seed_list", "0,1"],
+        ["cdp", "--cdp_size", "8", "--mask_count", "3", "--cdp_iters", "10"],
+    ])
+    def test_every_table(self, tmp_path, monkeypatch, argv):
+        tables = []
+        original = harness._write_csv
+
+        def spy(path, header, row_format, rows, comments=()):
+            rows = list(rows)
+            tables.append((path, header, rows, list(comments)))
+            original(path, header, row_format, rows, comments)
+
+        monkeypatch.setattr(harness, "_write_csv", spy)
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) in (0, 1)
+        assert tables
+        for path, header, rows, comments in tables:
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == reference_csv(header, rows, comments)
+        if argv[0] == "sweep":
+            medians = [row[-1] for row in tables[-1][2]]
+            assert any(math.isnan(v) for v in medians)
+            assert any(v % 1 == 0.5 for v in medians)
 
 
 class TestSharedInstance:

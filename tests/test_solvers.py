@@ -247,6 +247,17 @@ class TestRun:
         assert trace.status is Status.DIVERGED
         assert trace.iters.shape[0] == 1
 
+    def test_overflowing_norm_of_finite_step_diverges(self):
+        # the first step's entries are finite near 1e301, so it is recorded
+        # (inf dist, finite incoherence) although x_new @ x_new overflows;
+        # the run then stops on that iterate's infinite cost
+        ens, gt, y, x0 = make_problem(10, 60, 0)
+        trace = run(ens, y, x0, SolverParams(method=Method.GD, eta=1e300), gt=gt)
+        assert trace.status is Status.DIVERGED
+        assert trace.iters.shape[0] == 2
+        assert trace.dist[1] == math.inf
+        assert math.isfinite(trace.max_incoherence[1])
+
     def test_max_iters_status(self):
         ens, gt, y, x0 = make_problem(8, 160, 1)
         params = SolverParams(method=Method.GD, eta=1e-6, max_iters=5)
