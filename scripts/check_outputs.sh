@@ -6,7 +6,7 @@
 #
 # Each call runs in its own case directory with relative paths and one BLAS
 # thread, so two OUT directories, say one from a parent checkout and one from
-# a change, compare with `diff -r`.  Takes about a minute on two cores.
+# a change, compare with `diff -r`.  Takes about 70 s on two cores.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -35,9 +35,13 @@ case_ sweep_beta sweep --n_list 100 --m_list 256 --seed_list 0,1 --methods gd,po
 # squared norm overflows
 case_ sweep_bench sweep --n_list 10,50,100 --m_list 200,500,1000 --seed_list 0
 case_ sweep_overflow sweep --n_list 10 --m_list 60 --seed_list 0 --eta 1e300
+# odd n: each ensemble row drops its last Philox word
+case_ sweep_odd sweep --n_list 7,33 --m_list 100,500 --seed_list 0
 case_ run_gd run --n_list 10 --m_list 200 --seed_list 0 --methods gd
 case_ run_random run --n_list 50 --m_list 500 --seed_list 3 --methods nesterov --init random
 case_ headtohead headtohead --n_list 64 --seed_list 0,1,2
+# the bench's shape, n=256 and m=14196, whose ensemble spans many sampling chunks
+case_ headtohead_bench headtohead --n_list 256 --seed_list 0
 case_ slopes slopes --n_list 16,32,64 --seed_list 0,1
 case_ oracle oracle
 case_ concentration concentration --n_list 100 --m_list 1000 --seed_list 0,1,2

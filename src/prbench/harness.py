@@ -40,6 +40,8 @@ TRACE_COLUMNS = (
     "loc_ok", "inc_ok", "paired_norm", "contraction_ratio",
 )
 _TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%.17g"
+# trace rows converted to Python values at a time by `write_trace`
+_TRACE_BLOCK = 1024
 
 # head-to-head slope fits use the iterates with tol <= dist <= FIT_FLOOR
 FIT_FLOOR = 0.5
@@ -217,8 +219,13 @@ def write_trace(path: str, trace: IterationTrace) -> None:
         trace.max_incoherence, trace.loc_ok, trace.inc_ok,
         trace.paired_norm, trace.contraction_ratio,
     )
-    # Python ints, floats and bools format faster than numpy scalars
-    rows = zip(*(column.tolist() for column in columns))
+    # Python ints, floats and bools format faster than numpy scalars; one
+    # block of rows is converted at a time
+    rows = (
+        row
+        for lo in range(0, len(trace.iters), _TRACE_BLOCK)
+        for row in zip(*(column[lo:lo + _TRACE_BLOCK].tolist() for column in columns))
+    )
     _write_csv(path, TRACE_COLUMNS, _TRACE_ROW, rows,
                comments=[f"status={trace.status.value}"])
 

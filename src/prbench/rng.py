@@ -10,6 +10,12 @@ Each Philox block yields two 64-bit words, and each uniform double takes
 the top 53 bits of one word, mapped to (0, 1) exclusive.  Normal variates
 apply the inverse normal CDF to those uniforms; this transform is part of
 the reproducibility contract.
+
+Bulk draws run the cipher rounds, the uniform mapping and the inverse CDF
+one chunk of `_LANE_BUDGET` lanes at a time, in buffers allocated once per
+call, and write each chunk straight into its rows of the result.  The
+result is the only full-size array, and the chunk size never changes a
+value.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 
-# cap on simultaneously materialized cipher lanes; keeps bulk sampling
-# under a few hundred MB while leaving results chunk-invariant
-_LANE_BUDGET = 1 << 21
+# cipher lanes per chunk, sized for L2: the rounds touch seven uint64 buffers
+# of this length (1.75 MiB at 2^15), and the words and the chunk's slice of
+# the result add 32 bytes a lane; any value gives the same draws
+_LANE_BUDGET = 1 << 15
 
 
 def label_stream(label: str) -> int:
@@ -38,12 +45,10 @@ def label_stream(label: str) -> int:
     return (1 << 63) | (int.from_bytes(digest, "little") >> 1)
 
 
-def _philox10(c0, c1, c2, c3, k0, k1):
-    # counters are uint64 arrays holding 32-bit lanes, updated in place;
+def _philox10(c0, c1, c2, c3, k0, k1, p0, p1, scratch):
+    # counters are uint64 arrays holding 32-bit lanes, updated in place, and
+    # p0, p1, scratch are the caller's work buffers of the same length;
     # products of two 32-bit lanes are exact in 64 bits
-    p0 = np.empty_like(c0)
-    p1 = np.empty_like(c0)
-    scratch = np.empty_like(c0)
     for _ in range(10):
         np.multiply(c0, _M0, out=p0)
         np.multiply(c2, _M1, out=p1)
@@ -57,57 +62,74 @@ def _philox10(c0, c1, c2, c3, k0, k1):
         np.bitwise_and(p0, _MASK32, out=c3)
         k0 = (k0 + _W0) & _MASK32
         k1 = (k1 + _W1) & _MASK32
-    return c0, c1, c2, c3
 
 
-def _stream_uniforms(seed: int, stream_ids: np.ndarray, count: int) -> np.ndarray:
-    """Uniform doubles in (0, 1), shape (len(stream_ids), count).
+def _stream_uniforms(seed: int, stream_ids, count: int, transform=None) -> np.ndarray:
+    """Uniform doubles in (0, 1), a C-contiguous (len(stream_ids), count) array.
 
     Row i is the first `count` values of stream (seed, stream_ids[i]);
-    asking for fewer values returns a prefix of the same sequence.
+    asking for fewer values returns a prefix of the same sequence.  The
+    elementwise ufunc `transform`, if given, is applied in place to each
+    chunk as it is written, so the result holds `transform(u)`.
     """
     stream_ids = np.asarray(stream_ids, dtype=np.uint64)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    n_streams = stream_ids.shape[0]
-    blocks = (count + 1) // 2
-    out = np.empty((n_streams, 2 * blocks))
     key = np.uint64(seed)
     k0 = key & _MASK32
     k1 = key >> _SHIFT32
-    chunk = max(1, _LANE_BUDGET // max(blocks, 1))
-    counter = np.arange(blocks, dtype=np.uint64)
-    for lo in range(0, n_streams, chunk):
-        ids = stream_ids[lo:lo + chunk]
-        c0 = np.tile(counter, ids.shape[0])
-        c1 = np.repeat(ids & _MASK32, blocks)
-        c2 = np.repeat(ids >> _SHIFT32, blocks)
-        c3 = np.zeros(ids.shape[0] * blocks, dtype=np.uint64)
-        w0, w1, w2, w3 = _philox10(c0, c1, c2, c3, k0, k1)
-        words = np.empty((ids.shape[0] * blocks, 2), dtype=np.uint64)
-        np.left_shift(w0, _SHIFT32, out=w0)
-        np.bitwise_or(w0, w1, out=words[:, 0])
-        np.left_shift(w2, _SHIFT32, out=w2)
-        np.bitwise_or(w2, w3, out=words[:, 1])
-        np.right_shift(words, _SHIFT11, out=words)
-        u = words.astype(np.float64)
-        u += 0.5
-        u *= 2.0 ** -53
-        out[lo:lo + ids.shape[0]] = u.reshape(ids.shape[0], 2 * blocks)
-    return out[:, :count]
+    n_streams = stream_ids.shape[0]
+    out = np.empty((n_streams, count))
+    if out.size == 0:
+        return out
+    blocks = (count + 1) // 2
+    # a chunk is whole rows when a row fits the budget, else part of one row
+    span = min(blocks, _LANE_BUDGET)
+    rows = min(n_streams, max(1, _LANE_BUDGET // blocks))
+    buffers = np.empty((7, rows * span), dtype=np.uint64)
+    words = np.empty((rows * span, 2), dtype=np.uint64)
+    ids_lo = (stream_ids & _MASK32)[:, None]
+    ids_hi = (stream_ids >> _SHIFT32)[:, None]
+    counter = np.arange(span, dtype=np.uint64)
+    for r0 in range(0, n_streams, rows):
+        r1 = min(r0 + rows, n_streams)
+        for b0 in range(0, blocks, span):
+            nb = min(span, blocks - b0)
+            lanes = (r1 - r0) * nb
+            grid = (r1 - r0, nb)
+            c0, c1, c2, c3, p0, p1, scratch = buffers[:, :lanes]
+            np.add(counter[:nb], np.uint64(b0), out=c0.reshape(grid))
+            np.copyto(c1.reshape(grid), ids_lo[r0:r1])
+            np.copyto(c2.reshape(grid), ids_hi[r0:r1])
+            c3.fill(0)
+            _philox10(c0, c1, c2, c3, k0, k1, p0, p1, scratch)
+            pairs = words[:lanes]
+            np.left_shift(c0, _SHIFT32, out=c0)
+            np.bitwise_or(c0, c1, out=pairs[:, 0])
+            np.left_shift(c2, _SHIFT32, out=c2)
+            np.bitwise_or(c2, c3, out=pairs[:, 1])
+            np.right_shift(pairs, _SHIFT11, out=pairs)
+            # an odd count drops each row's last word
+            lo, hi = 2 * b0, min(2 * (b0 + nb), count)
+            dest = out[r0:r1, lo:hi]
+            dest[...] = pairs.reshape(r1 - r0, 2 * nb)[:, :hi - lo]
+            dest += 0.5
+            dest *= 2.0 ** -53
+            if transform is not None:
+                transform(dest, out=dest)
+    return out
 
 
 def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
     """`count` uniform doubles in (0, 1) from stream (seed, stream)."""
-    return _stream_uniforms(seed, np.asarray([stream], dtype=np.uint64), count)[0]
+    return _stream_uniforms(seed, [stream], count)[0]
 
 
 def normals(seed: int, stream: int, count: int) -> np.ndarray:
     """`count` standard normal doubles via the inverse CDF."""
-    return ndtri(uniforms(seed, stream, count))
+    return _stream_uniforms(seed, [stream], count, ndtri)[0]
 
 
 def normal_rows(seed: int, n_rows: int, n_cols: int) -> np.ndarray:
     """(n_rows, n_cols) standard normal matrix; row i comes from stream (seed, i)."""
-    ids = np.arange(n_rows, dtype=np.uint64)
-    return ndtri(_stream_uniforms(seed, ids, n_cols))
+    return _stream_uniforms(seed, np.arange(n_rows, dtype=np.uint64), n_cols, ndtri)

@@ -253,7 +253,8 @@ class TestRowFormats:
             trace.paired_norm, trace.contraction_ratio,
         )
         expected = reference_csv(harness.TRACE_COLUMNS, rows, [f"status={trace.status.value}"])
-        assert path.read_text() == expected
+        # compared as lists of lines, which pytest reports quickly on failure
+        assert path.read_text().split("\n") == expected.split("\n")
 
     def test_overflow_trace(self, tmp_path):
         ens, gt, y, x0 = harness._problem(10, 60, 0, "spectral")
@@ -262,6 +263,19 @@ class TestRowFormats:
         # row 1 holds inf, nan and a finite value above 1e300
         assert trace.dist[1] == math.inf and math.isnan(trace.grad_norm[1])
         assert 1e300 < trace.max_incoherence[1] < math.inf
+        self.assert_trace_matches(tmp_path / "t.csv", trace)
+
+    def test_trace_spans_blocks(self, tmp_path):
+        # two and a half row blocks, with a value that changes on every row
+        size = 5 * harness._TRACE_BLOCK // 2
+        floats = np.sqrt(np.arange(size) + 0.5)
+        flags = np.arange(size) % 3 == 0
+        trace = IterationTrace(
+            iters=np.arange(size), dist=floats, cost=-floats, grad_norm=floats[::-1].copy(),
+            max_incoherence=floats * 0.1, loc_ok=flags, inc_ok=~flags,
+            paired_norm=floats ** 2, contraction_ratio=1.0 / floats,
+            status=Status.CONVERGED, sign=1.0,
+        )
         self.assert_trace_matches(tmp_path / "t.csv", trace)
 
     @given(st.lists(st.tuples(st.floats(), st.booleans()), min_size=1, max_size=6))

@@ -1,8 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prbench import rng
+from prbench import cdp, rng
 
 
 def test_uniforms_deterministic():
@@ -35,9 +38,11 @@ def test_seeds_disjoint():
 
 
 def test_normal_rows_matches_per_stream_draws():
-    mat = rng.normal_rows(9, 4, 6)
-    for i in range(4):
-        assert np.array_equal(mat[i], rng.normals(9, i, 6))
+    # an odd width drops each row's last word and keeps the rows contiguous
+    mat = rng.normal_rows(9, 1000, 7)
+    assert mat.shape == (1000, 7) and mat.flags.c_contiguous
+    for i in range(1000):
+        assert np.array_equal(mat[i], rng.normals(9, i, 7))
 
 
 def test_label_stream_stable_and_high():
@@ -47,10 +52,44 @@ def test_label_stream_stable_and_high():
 
 
 def test_chunking_invariance(monkeypatch):
+    # at 64 lanes sixteen 7-wide rows share a chunk and a 301-wide row spans
+    # three; at the default budget each row fits one chunk
     full = rng.normal_rows(13, 1000, 7)
+    wide = rng.normal_rows(13, 3, 301)
     monkeypatch.setattr(rng, "_LANE_BUDGET", 64)
     chunked = rng.normal_rows(13, 1000, 7)
-    assert np.array_equal(full, chunked)
+    assert chunked.flags.c_contiguous and np.array_equal(full, chunked)
+    assert np.array_equal(wide, rng.normal_rows(13, 3, 301))
+
+
+def test_bench_ensemble_pinned():
+    # the headtohead bench's ensemble: a refactor of the sampler keeps every bit
+    mat = rng.normal_rows(0, 14196, 256)
+    assert hashlib.sha256(mat.tobytes()).hexdigest() == (
+        "5ce12e316dcc855b11a66e1317d8fbfbf34b8f49efd10ebb8b3130ace05e890b")
+
+
+def test_masks_chunking_invariance(monkeypatch):
+    # each mask's 240 uniforms span two 64-lane chunks
+    full = cdp.sample_masks((12, 10), 5, 3)
+    monkeypatch.setattr(rng, "_LANE_BUDGET", 64)
+    assert np.array_equal(full, cdp.sample_masks((12, 10), 5, 3))
+
+
+def test_normal_rows_peak_memory():
+    # beside the result sit only the chunk's buffers (nine uint64 words a
+    # lane) and three uint64 id arrays (a word each a row), with room left for
+    # numpy's cast buffers; at the bench's headtohead shape the bound is 1.16x
+    # the result, and a chunk as large as the ensemble fails the second check
+    n_rows, n_cols = 14196, 256
+    tracemalloc.start()
+    try:
+        mat = rng.normal_rows(0, n_rows, n_cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= mat.nbytes + 128 * rng._LANE_BUDGET + 32 * n_rows
+    assert peak <= 1.25 * mat.nbytes
 
 
 def test_normal_moments():
