@@ -12,5 +12,16 @@ import numpy as np
 
 
 def gradient_kernel(rows, y, x, m_norm: int) -> np.ndarray:
-    p = rows @ x
-    return rows.T @ ((p * p - y) * p) / m_norm
+    """`rows.T @ ((p * p - y) * p) / m_norm` with `p = rows @ x`, bit for bit.
+
+    `ndarray.dot` makes the same BLAS gemv call as `@` without matmul's
+    ufunc dispatch, and the elementwise steps run in place: the same
+    operations on the same operands, with fewer temporaries.
+    """
+    p = rows.dot(x)
+    w = p * p
+    w -= y
+    w *= p
+    g = rows.T.dot(w)
+    g /= m_norm
+    return g

@@ -36,6 +36,10 @@ class Status(str, enum.Enum):
 # a cost above this (or a non-finite one) ends a run as diverged
 DIVERGENCE_CAP = 1e8
 
+# `run` keeps its projections in blocks of this many values (1 MiB, about
+# the L2 size) and reduces the incoherence column one block at a time
+INC_BLOCK_VALUES = 2**17
+
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -158,8 +162,17 @@ def override_params(
 
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of a real vector by np.linalg.norm's own 1-D formula,
-    sqrt(v @ v), without its per-call dispatch."""
-    return math.sqrt(v @ v)
+    sqrt(v @ v), without its per-call dispatch: `v.dot(v)` makes the same
+    BLAS ddot call as `v @ v` without matmul's."""
+    return math.sqrt(v.dot(v))
+
+
+def _block_incoherence(block: np.ndarray, target_proj: np.ndarray) -> np.ndarray:
+    """max_i |block[k, i] - target_proj[i]| for each row k, computed in
+    place: the block's values are gone afterwards."""
+    np.subtract(block, target_proj, out=block)
+    np.absolute(block, out=block)
+    return np.maximum.reduce(block, axis=1)
 
 
 def run(
@@ -189,27 +202,42 @@ def run(
 
     sign = align_sign(x0, gt.x_star)
     target = sign * gt.x_star
-    target_proj = rows @ target
+    target_proj = rows.dot(target)
 
     # per iterate, only the columns that need the iterate itself; the flags
-    # and pair columns are derived from them after the loop
+    # and pair columns are derived from them after the loop.  The workspace
+    # is allocated once: the residual, and a block whose rows take the
+    # projections of consecutive iterates.  A full block's incoherence is
+    # reduced, in place, just before its first row is overwritten, never
+    # right after a write: the row just written is the current projection.
+    block = np.empty((max(1, INC_BLOCK_VALUES // m), m))
+    resid = np.empty(m)
     cost, grad_norm, dist, max_inc = [], [], [], []
     x_curr = x_prev = x0
     status = Status.MAX_ITERS
-    t = 0
+    t = k = 0  # k: the block rows in use
     # overflow to inf inside a diverging run is the expected signal
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            # one pass of projections feeds cost, gradient, and incoherence
-            proj = rows @ x_curr
-            resid = proj * proj - y
-            cost_value = float(resid @ resid) / (4.0 * m)
-            grad_value = rows.T @ (resid * proj) / m
+            if k == len(block):
+                max_inc.append(_block_incoherence(block, target_proj))
+                k = 0
+            # one pass of projections feeds cost, gradient, and incoherence:
+            # `gradient_kernel`'s operations, inlined so the cost can reuse
+            # the residual
+            proj = block[k]
+            k += 1
+            rows.dot(x_curr, out=proj)
+            np.multiply(proj, proj, out=resid)
+            resid -= y
+            cost_value = float(resid.dot(resid)) / (4.0 * m)
+            resid *= proj
+            grad_value = rows.T.dot(resid)
+            grad_value /= m
             dist_value = _norm(x_curr - target)
             cost.append(cost_value)
             grad_norm.append(_norm(grad_value))
             dist.append(dist_value)
-            max_inc.append(float(np.abs(proj - target_proj).max()))
             if not math.isfinite(cost_value) or cost_value > DIVERGENCE_CAP:
                 status = Status.DIVERGED
                 break
@@ -225,16 +253,17 @@ def run(
             )
             # a finite x_new @ x_new means finite entries; an overflowing one
             # can still come from finite entries, so then the entries decide
-            if not math.isfinite(x_new @ x_new) and not np.all(np.isfinite(x_new)):
+            if not math.isfinite(x_new.dot(x_new)) and not np.all(np.isfinite(x_new)):
                 status = Status.DIVERGED
                 break
             x_prev, x_curr = x_curr, x_new
             t += 1
+        max_inc.append(_block_incoherence(block[:k], target_proj))
 
     # math.hypot, not np.hypot: the two differ in the last bit
     paired = np.array([math.hypot(d, d_prev) for d, d_prev in zip(dist, dist[:1] + dist)])
     dist = np.asarray(dist, dtype=float)
-    max_inc = np.asarray(max_inc, dtype=float)
+    max_inc = np.concatenate(max_inc)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.concatenate([[np.nan], paired[1:] / paired[:-1]])
     return IterationTrace(

@@ -20,10 +20,21 @@ from prbench.model import (
     sample_unit_sphere,
 )
 from prbench.ric import loo_threshold
-from prbench.solvers import Method, SolverParams, default_params, run
+from prbench.solvers import (
+    INC_BLOCK_VALUES,
+    Method,
+    SolverParams,
+    Status,
+    default_params,
+    run,
+)
 
 from conftest import make_problem
 from reference import contraction_matrix_hb, cost, hessian
+
+
+# projections per incoherence block in `run` at m=200
+_BLOCK = INC_BLOCK_VALUES // 200
 
 
 def capped_defaults(n, norm_x0, method, max_iters=200):
@@ -141,17 +152,41 @@ class TestLooRun:
         pairs = np.hypot(by_hand[:, 1:], by_hand[:, :-1]).max(axis=0)
         assert np.array_equal(bundle.proximity, np.concatenate([[0.0], pairs]))
 
-    @pytest.mark.parametrize("method", list(Method))
-    def test_fixed_step_loop_is_runs_iteration(self, method):
+    @pytest.mark.parametrize("method, n, m, seed, rows", [
+        *(pytest.param(method, 24, 48, 3, None, id=method.value) for method in Method),
+        # non-converging runs whose traces end one row short of, at, and one
+        # row past a full incoherence block, and one past two blocks, so both
+        # the block and the remainder reductions run
+        pytest.param(Method.GD, 10, 200, 0, _BLOCK - 1, id="gd-block-1"),
+        pytest.param(Method.POLYAK, 10, 200, 0, _BLOCK, id="polyak-block"),
+        pytest.param(Method.NESTEROV, 10, 200, 0, _BLOCK + 1, id="nesterov-block+1"),
+        pytest.param(Method.POLYAK, 10, 200, 0, 2 * _BLOCK + 1, id="polyak-2block+1"),
+    ])
+    def test_fixed_step_loop_is_runs_iteration(self, method, n, m, seed, rows):
         # loo_run rebuilds the main iterates with _iterates, so its iterates
-        # must give run's dist and cost columns bit for bit
+        # must give every column of run's bit for bit, each recomputed here
+        # with `@` and np.linalg.norm
+        ens, gt, y, x0 = make_problem(n, m, seed)
         beta = 0.0 if method is Method.GD else 0.5
-        params = SolverParams(method, eta=self.params.eta, beta=beta, max_iters=80)
-        trace = run(self.ens, self.y, self.x0, params, gt=self.gt)
-        xs = _iterates(self.ens.rows, self.y, self.x0, params, trace.n_steps, self.m)
-        target = trace.sign * self.gt.x_star
+        eta = default_params(n, float(np.linalg.norm(x0)), method).eta
+        if rows is None:
+            params = SolverParams(method, eta=eta, beta=beta, max_iters=80)
+        else:
+            params = SolverParams(method, eta=eta, beta=beta, max_iters=rows - 1, tol=1e-300)
+        trace = run(ens, y, x0, params, gt=gt)
+        if rows is not None:
+            assert trace.status is Status.MAX_ITERS and len(trace.iters) == rows
+        xs = _iterates(ens.rows, y, x0, params, trace.n_steps, m)
+        target = trace.sign * gt.x_star
+        projs = [ens.rows @ x for x in xs]
+        grads = [ens.rows.T @ ((p * p - y) * p) / m for p in projs]
+        target_proj = ens.rows @ target
         assert np.array_equal(trace.dist, [np.linalg.norm(x - target) for x in xs])
-        assert np.array_equal(trace.cost, [cost(self.ens, self.y, x) for x in xs])
+        assert np.array_equal(trace.cost, [cost(ens, y, x) for x in xs])
+        assert np.array_equal(trace.grad_norm, [np.linalg.norm(g) for g in grads])
+        assert np.array_equal(
+            trace.max_incoherence, [np.abs(p - target_proj).max() for p in projs]
+        )
 
     def test_threshold_value(self):
         assert loo_threshold(100) == pytest.approx(5.0 * math.sqrt(math.log(100) / 100))

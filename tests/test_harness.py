@@ -2,6 +2,8 @@ import contextlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -120,6 +122,40 @@ class TestHeadToHead:
         text = out.read_text()
         assert "status_a=max_iters" in text
         assert "slope_seed" not in text
+
+    def test_output_across_blas_thread_counts(self, tmp_path):
+        # The bytes hold at a fixed BLAS thread count only: at n=128 and
+        # m=6211, one and two OpenBLAS threads sum the products in different
+        # orders (measured: 1.2e-11 relative at most).  The statuses and row
+        # counts must agree, and every value within rtol.
+        rtol = 1e-8
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"h{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "prbench.cli", "headtohead", "--n_list", "128",
+                 "--seed_list", "0", "--out", str(out)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+                capture_output=True, text=True, check=False,
+            )
+            assert proc.returncode == 0, proc.stderr
+            lines = out.read_text().splitlines()
+            comments = [line for line in lines if line.startswith("#")]
+            data = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+            tables.append((comments, np.array(data, dtype=float)))
+        (comments_1, data_1), (comments_2, data_2) = tables
+        status = "# seed_0: status_a=converged status_b=converged"
+        assert comments_1[0] == comments_2[0] == status
+        keys_1, slopes_1 = zip(*(c.split("=") for c in comments_1[1:]))
+        keys_2, slopes_2 = zip(*(c.split("=") for c in comments_2[1:]))
+        assert keys_1 == keys_2 == ("# slope_seed_0", "# mean_slope")
+        np.testing.assert_allclose(np.array(slopes_2, dtype=float),
+                                   np.array(slopes_1, dtype=float), rtol=rtol, atol=0)
+        assert data_1.shape == data_2.shape
+        assert np.array_equal(data_1[:, :2], data_2[:, :2])  # seed and iter
+        np.testing.assert_allclose(data_2[:, 2:], data_1[:, 2:], rtol=rtol, atol=0)
 
 
 class TestSlopes:
