@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cdp as cdp_mod
-from .diagnostics import concentration_report, loo_run, quadratic_oracle
+from .diagnostics import QUAD_L, QUAD_MU, concentration_report, loo_run, quadratic_oracle
 from .model import observe, random_ground_truth, sample_ensemble, sample_unit_sphere
 from .pgm import read_pgm, write_pgm
 from .ric import loo_threshold
@@ -62,9 +62,6 @@ class ExperimentConfig:
     # head-to-head and slope fits
     method_a: str = "gd"
     method_b: str = "polyak"
-    # quadratic oracle
-    kappa: float = 100.0
-    oracle_steps: int = 10_000
     # leave-one-out budget
     loo_budget_m: int = 256
     loo_budget_iters: int = 500
@@ -147,13 +144,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # has n = 1, where the log n step-size defaults are undefined
     minimums = [("n_list", n, 2) for n in cfg.n_list] + [("m_list", m, 1) for m in cfg.m_list]
     minimums += [(name, getattr(cfg, name), low) for name, low in (
-        ("kappa", 1), ("oracle_steps", 2), ("mask_count", 1), ("cdp_size", 2),
-        ("cdp_iters", 0), ("loo_budget_m", 1), ("loo_budget_iters", 0))]
+        ("mask_count", 1), ("cdp_size", 2), ("cdp_iters", 0), ("loo_budget_m", 1),
+        ("loo_budget_iters", 0))]
     for name, value, low in minimums:
         if not value >= low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
-    if not cfg.kappa < math.inf:
-        raise ValueError(f"kappa must be finite, got {cfg.kappa}")
     # a tol at or above the floor leaves the slope fit window empty
     if not cfg.tol < FIT_FLOOR:
         raise ValueError(f"tol must be below the slope fit floor {FIT_FLOOR}, got {cfg.tol}")
@@ -367,9 +362,8 @@ def cmd_loo(cfg: ExperimentConfig) -> int:
 
 
 def cmd_oracle(cfg: ExperimentConfig) -> int:
-    kappa = cfg.kappa
-    # the rate plus a slack, capped at 1 so that a ratio of 1 or more (no
-    # contraction) never passes, however close to 1 the rate is
+    kappa = QUAD_L / QUAD_MU
+    # the textbook rate plus a slack
     bounds = {
         Method.GD: 1.0 - 1.0 / kappa + 0.005,
         Method.POLYAK: (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0) + 0.02,
@@ -377,9 +371,8 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
     }
     rows = []
     for method in (Method.GD, Method.POLYAK, Method.NESTEROV):
-        measured = quadratic_oracle(1.0, kappa, method, steps=cfg.oracle_steps)
-        bound = min(bounds[method], 1.0)
-        rows.append((method.value, measured, bound, measured < bound))
+        measured = quadratic_oracle(method)
+        rows.append((method.value, measured, bounds[method], measured < bounds[method]))
     _write_csv(cfg.out, ("method", "measured_ratio", "bound", "ok"), "%s,%.17g,%.17g,%d", rows)
     return 0 if all(row[-1] for row in rows) else 1
 

@@ -120,11 +120,6 @@ def _stream_uniforms(seed: int, stream_ids, count: int, transform=None) -> np.nd
     return out
 
 
-def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
-    """`count` uniform doubles in (0, 1) from stream (seed, stream)."""
-    return _stream_uniforms(seed, [stream], count)[0]
-
-
 def normals(seed: int, stream: int, count: int) -> np.ndarray:
     """`count` standard normal doubles via the inverse CDF."""
     return _stream_uniforms(seed, [stream], count, ndtri)[0]

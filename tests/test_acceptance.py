@@ -111,7 +111,7 @@ def test_c02_spectral_population_oracle_and_monte_carlo():
 
 def test_c03_quadratic_oracle_rates_at_kappa_100():
     start = time.monotonic()
-    measured = {m: quadratic_oracle(1.0, 100.0, m) for m in Method}
+    measured = {m: quadratic_oracle(m) for m in Method}
     ok = (
         measured[Method.GD] <= 0.995
         and measured[Method.POLYAK] <= 9.0 / 11.0 + 0.02
@@ -129,10 +129,10 @@ def test_c04_contraction_matrices_match_rate_factors():
     start = time.monotonic()
     mu, L = 1.0, 100.0
     hess = np.diag([mu, L])
-    eta, beta = quadratic_parameters(mu, L, Method.POLYAK)
+    eta, beta = quadratic_parameters(Method.POLYAK)
     hb_radius = np.max(np.abs(np.linalg.eigvals(contraction_matrix_hb(hess, eta, beta))))
     hb_target = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
-    eta, beta = quadratic_parameters(mu, L, Method.NESTEROV)
+    eta, beta = quadratic_parameters(Method.NESTEROV)
     nag_radius = np.max(np.abs(np.linalg.eigvals(contraction_matrix_nag(hess, eta, beta))))
     nag_target = 1.0 - math.sqrt(mu) / math.sqrt(L)
     ok = abs(hb_radius - hb_target) <= 1e-6 and abs(nag_radius - nag_target) <= 1e-6

@@ -80,7 +80,7 @@ class TestBatchedOperator:
         masks, _, _ = setup
         n = masks[0].size
         for ell, d in enumerate(masks):
-            u = prng.uniforms(7, prng.label_stream(f"cdp-mask-{ell}"), 2 * n)
+            u = prng._stream_uniforms(7, [prng.label_stream(f"cdp-mask-{ell}")], 2 * n)[0]
             b1 = np.array([1.0, 1.0j, -1.0, -1.0j])[np.floor(4.0 * u[:n]).astype(int)]
             b2 = np.where(u[n:] < 0.8, math.sqrt(2.0) / 2.0, math.sqrt(3.0))
             assert np.array_equal(d, (b1 * b2).reshape(d.shape))

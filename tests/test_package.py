@@ -2,6 +2,8 @@ import ast
 import dataclasses
 import pathlib
 import re
+import subprocess
+import sys
 
 import prbench
 from prbench import cdp, cli
@@ -76,6 +78,48 @@ def test_readme_cli_matches_config():
         assert set(re.findall(r"--(\w+)", args)) <= keys, args
     listed = re.search(r"Subcommands: (.*?)\.", text, flags=re.S).group(1)
     assert set(re.findall(r"`(\w+)`", listed)) == set(cli.COMMANDS)
+
+
+def test_every_config_key_is_read():
+    # a key no command reads would be accepted and then ignored
+    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+    }
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert keys - read == set()
+
+
+_HYPOTHESIS_PROBE = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_keeps_the_run_going(tmp_path):
+    # under the suite's warning filters a failing property test reports its
+    # falsifying example and the tests after it still run
+    probe = tmp_path / "probe_test.py"
+    probe.write_text(_HYPOTHESIS_PROBE, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-q", str(probe)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example: test_fails(" in result.stdout
+    assert "1 failed, 1 passed" in result.stdout
 
 
 def test_every_raise_is_a_cli_error_type():

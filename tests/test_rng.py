@@ -8,32 +8,36 @@ from hypothesis import strategies as st
 from prbench import cdp, rng
 
 
+def uniforms(seed, stream, count):
+    return rng._stream_uniforms(seed, [stream], count)[0]
+
+
 def test_uniforms_deterministic():
-    a = rng.uniforms(7, 3, 100)
-    b = rng.uniforms(7, 3, 100)
+    a = uniforms(7, 3, 100)
+    b = uniforms(7, 3, 100)
     assert np.array_equal(a, b)
 
 
 def test_uniforms_in_open_unit_interval():
-    u = rng.uniforms(0, 0, 10_000)
+    u = uniforms(0, 0, 10_000)
     assert u.min() > 0.0 and u.max() < 1.0
 
 
 def test_prefix_property():
-    long = rng.uniforms(11, 5, 64)
-    short = rng.uniforms(11, 5, 17)
+    long = uniforms(11, 5, 64)
+    short = uniforms(11, 5, 17)
     assert np.array_equal(long[:17], short)
 
 
 def test_streams_disjoint():
-    a = rng.uniforms(1, 0, 50)
-    b = rng.uniforms(1, 1, 50)
+    a = uniforms(1, 0, 50)
+    b = uniforms(1, 1, 50)
     assert not np.array_equal(a, b)
 
 
 def test_seeds_disjoint():
-    a = rng.uniforms(1, 0, 50)
-    b = rng.uniforms(2, 0, 50)
+    a = uniforms(1, 0, 50)
+    b = uniforms(2, 0, 50)
     assert not np.array_equal(a, b)
 
 
@@ -102,6 +106,6 @@ def test_normal_moments():
        stream=st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=25, deadline=None)
 def test_any_seed_stream_valid(seed, stream):
-    u = rng.uniforms(seed, stream, 8)
+    u = uniforms(seed, stream, 8)
     assert u.shape == (8,)
     assert np.all((u > 0) & (u < 1))
