@@ -117,8 +117,6 @@ def phase_aligned_rel_err(z, z_star) -> float:
     z = np.asarray(z, dtype=complex)
     z_star = np.asarray(z_star, dtype=complex)
     ref = np.linalg.norm(z_star)
-    if ref == 0:
-        return float(np.linalg.norm(z))
     inner = np.vdot(z, z_star)
     # rotate by the maximizer of Re(e^{i theta} <z_star, z>) and measure
     # directly; the expanded quadratic form cancels catastrophically when

@@ -203,6 +203,9 @@ def run(
     sign = align_sign(x0, gt.x_star)
     target = sign * gt.x_star
     target_proj = rows.dot(target)
+    # ||x + target|| >= 2 ||target|| - dist, so the second sign can meet tol
+    # only from this dist on; the margin covers rounding in both norms
+    second_sign_from = (2.0 - 1e-9) * _norm(target) - params.tol
 
     # per iterate, only the columns that need the iterate itself; the flags
     # and pair columns are derived from them after the loop.  The workspace
@@ -242,7 +245,9 @@ def run(
                 status = Status.DIVERGED
                 break
             # the sign-invariant distance; the second sign only when needed
-            if dist_value <= params.tol or _norm(x_curr + target) <= params.tol:
+            if dist_value <= params.tol or (
+                dist_value >= second_sign_from and _norm(x_curr + target) <= params.tol
+            ):
                 status = Status.CONVERGED
                 break
             if t >= params.max_iters:

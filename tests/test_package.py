@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import os
 import pathlib
 import re
 import subprocess
@@ -90,6 +91,18 @@ def test_every_config_key_is_read():
     }
     keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert keys - read == set()
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test dependency only: it doubles the start-up time of
+    # every CLI call
+    code = "import sys, prbench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 _HYPOTHESIS_PROBE = """

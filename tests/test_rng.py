@@ -1,7 +1,9 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,3 +111,49 @@ def test_any_seed_stream_valid(seed, stream):
     u = uniforms(seed, stream, 8)
     assert u.shape == (8,)
     assert np.all((u > 0) & (u < 1))
+
+
+def _grid(ks):
+    # the sampler's uniforms (k + 1/2) 2^-53; the top one rounds up to 1.0
+    return (np.asarray(ks, dtype=float) + 0.5) * 2.0 ** -53
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    # Philox draws; the x >= 8 tail (k < 114); the top of the grid; both
+    # branch boundaries and their neighbours; and u = 1.0, which gives inf
+    k = np.arange(200)
+    edges = []
+    for edge in (rng._EXP_M2, 1.0 - rng._EXP_M2):
+        below = above = edge
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            edges += [below, above]
+        edges.append(edge)
+    inputs = [
+        rng._stream_uniforms(5, np.arange(4096), 256).reshape(-1),
+        _grid(k),
+        _grid(2**53 - 200 + k),
+        np.array(edges + [0.5, 1.0]),
+    ]
+    assert inputs[0].size >= 10**6 and inputs[2][-1] == 1.0
+    for u in inputs:
+        ours = u.copy()
+        rng.ndtri(ours)
+        assert np.array_equal(ours.view(np.int64), scipy.special.ndtri(u).view(np.int64))
+    assert ours[-1] == math.inf
+
+
+def test_complex_log_is_libm_log():
+    # ndtri takes every log from numpy's complex log, whose real part is the
+    # C library's log on the ranges it sees: y in (0, e^-2] and x in [2, 9]
+    u = rng._stream_uniforms(6, np.arange(100), 2000).reshape(-1)
+    y = np.concatenate([
+        np.minimum(u, 1.0 - u), _grid(np.arange(1000)),
+        np.geomspace(2.0 ** -54, rng._EXP_M2, 20_000),
+    ])
+    y = y[y <= rng._EXP_M2]
+    x = np.concatenate([
+        [math.sqrt(-2.0 * math.log(value)) for value in y], np.linspace(2.0, 9.0, 20_001),
+    ])
+    for v in (y, x):
+        assert np.array_equal(rng._log(v), [math.log(value) for value in v])

@@ -233,6 +233,19 @@ class TestRun:
         assert np.array_equal(plus.cost, minus.cost)
         assert plus.status is minus.status
 
+    def test_converges_to_the_other_sign(self):
+        # the start sets the sign to +1 and the first step overshoots past
+        # 0, so the run converges to -x_star: the stopping rule still sees
+        # it at the first step within tol, where dist reads about 2
+        ens, y, gt = tiny_problem()
+        eta, tol = 0.45, 1e-7
+        x, steps = 2.0, 0
+        while abs(x + 1.0) > tol:
+            x, steps = x - eta * ((x * x - 1.0) * x), steps + 1
+        trace = run(ens, y, np.array([2.0]), SolverParams(Method.GD, eta, tol=tol), gt=gt)
+        assert trace.sign == 1.0 and trace.converged
+        assert trace.n_steps == steps and trace.dist[-1] == pytest.approx(2.0)
+
     def test_divergence_status_not_exception(self):
         ens, gt, y, x0 = make_problem(8, 160, 1)
         params = SolverParams(method=Method.GD, eta=50.0, max_iters=200)
