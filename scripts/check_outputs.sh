@@ -6,7 +6,7 @@
 #
 # Each call runs in its own case directory with relative paths and one BLAS
 # thread, so two OUT directories, say one from a parent checkout and one from
-# a change, compare with `diff -r`.  Takes about 70 s on two cores.
+# a change, compare with `diff -r`.  Takes about 50 s on two cores.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -37,6 +37,9 @@ case_ sweep_bench sweep --n_list 10,50,100 --m_list 200,500,1000 --seed_list 0
 case_ sweep_overflow sweep --n_list 10 --m_list 60 --seed_list 0 --eta 1e300
 # odd n: each ensemble row drops its last Philox word
 case_ sweep_odd sweep --n_list 7,33 --m_list 100,500 --seed_list 0
+# the n=100 cell's power iteration fails (exit 2) after the n=10 cell's traces
+# are written, and no summary.csv follows
+case_ sweep_init_fail sweep --n_list 10,100 --m_list 100 --seed_list 0
 case_ run_gd run --n_list 10 --m_list 200 --seed_list 0 --methods gd
 case_ run_random run --n_list 50 --m_list 500 --seed_list 3 --methods nesterov --init random
 case_ headtohead headtohead --n_list 64 --seed_list 0,1,2
@@ -45,6 +48,8 @@ case_ headtohead_bench headtohead --n_list 256 --seed_list 0
 case_ slopes slopes --n_list 16,32,64 --seed_list 0,1
 case_ oracle oracle
 case_ concentration concentration --n_list 100 --m_list 1000 --seed_list 0,1,2
+# the concentration bounds need n >= 3 (exit 2)
+case_ concentration_n2 concentration --n_list 2
 # leave-one-out: the m=256 violation (exit 1), criterion 8's regime, a budget refusal (exit 2)
 case_ loo_256 loo --n_list 100 --m_list 256 --seed_list 4 --methods polyak --max_iters 500
 case_ loo_461 loo --n_list 100 --m_list 461 --loo_budget_m 461 --seed_list 1 \
@@ -67,3 +72,8 @@ case_ cdp_diverge_no_gd cdp --eta 1000 --methods polyak,nesterov --mask_count 4 
 mkdir -p "$out/cdp_image_range"
 printf 'P2\n2 2\n255\n0 128\n300 -5\n' >"$out/cdp_image_range/image.pgm"
 case_ cdp_image_range cdp --image image.pgm --mask_count 2 --cdp_iters 5
+# a one-pixel image has n = 1, where the log n step-size defaults are undefined
+# (exit 2)
+mkdir -p "$out/cdp_one_pixel"
+printf 'P2\n1 1\n255\n200\n' >"$out/cdp_one_pixel/image.pgm"
+case_ cdp_one_pixel cdp --image image.pgm

@@ -61,10 +61,6 @@ def loo_sequence(
     is never read; the cost normalization keeps the original 1/m.  The
     sequence runs exactly `steps` steps with no stopping rule.
     """
-    y = np.asarray(y, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if not 0 <= ell < ens.m:
-        raise ValueError(f"row index {ell} outside [0, {ens.m})")
     rows_l = np.delete(ens.rows, ell, axis=0)
     return _iterates(rows_l, np.delete(y, ell), x0, params, steps, ens.m)
 
@@ -79,9 +75,6 @@ def loo_run(
     Every sequence iterates exactly T steps so the pairwise distances are
     time-aligned.  The cost is O(m^2 n T).
     """
-    y = np.asarray(y, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-
     steps = run(ens, y, x0, params, gt=gt).n_steps
     main = _iterates(ens.rows, y, x0, params, steps, ens.m)
 
@@ -166,9 +159,6 @@ def concentration_report(ens: SensingEnsemble, probe) -> ConcentrationReport:
     """
     if ens.n < 3:
         raise ValueError("concentration bounds need n >= 3")
-    probe = np.asarray(probe, dtype=float)
-    if probe.shape != (ens.n,):
-        raise ValueError(f"probe has shape {probe.shape}, expected ({ens.n},)")
     row_norms = np.linalg.norm(ens.rows, axis=1)
     max_row = float(row_norms.max())
     row_bound = math.sqrt(6.0 * ens.n)

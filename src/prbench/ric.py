@@ -22,8 +22,6 @@ def loc_radius(gt: GroundTruth) -> float:
 
 
 def inc_bound(n: int, gt: GroundTruth) -> float:
-    if n < 2:
-        raise ValueError("incoherence bound needs n >= 2 (log n degenerate)")
     return C2 * math.sqrt(math.log(n)) * gt.norm
 
 

@@ -39,8 +39,9 @@ _SHIFT11 = np.uint64(11)
 _LANE_BUDGET = 1 << 15
 
 # Cephes ndtri.c: e^-2 bounds the central branch and sqrt(2 pi) scales it;
-# each rational is P/Q with coefficients highest degree first, and each Q has
-# a leading 1 left out (Cephes' p1evl).  P1/Q1 serve the tails up to x = 8,
+# each rational is P/Q with coefficients highest degree first, and each Q
+# writes out the leading 1 that Cephes' p1evl leaves implicit (x * 1.0 is
+# exact, so polevl gives the same bits).  P1/Q1 serve the tails up to x = 8,
 # P2/Q2 beyond.
 _EXP_M2 = 0.13533528323661269189
 _S2PI = 2.50662827463100050242
@@ -50,7 +51,7 @@ _P0 = (
     -1.23916583867381258016e0,
 )
 _Q0 = (
-    1.95448858338141759834e0, 4.67627912898881538453e0,
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
     8.63602421390890590575e1, -2.25462687854119370527e2,
     2.00260212380060660359e2, -8.20372256168333339912e1,
     1.59056225126211695515e1, -1.18331621121330003142e0,
@@ -63,7 +64,7 @@ _P1 = (
     -8.57456785154685413611e-4,
 )
 _Q1 = (
-    1.57799883256466749731e1, 4.53907635128879210584e1,
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
     4.13172038254672030440e1, 1.50425385692907503408e1,
     2.50464946208309415979e0, -1.42182922854787788574e-1,
     -3.80806407691578277194e-2, -9.33259480895457427372e-4,
@@ -76,7 +77,7 @@ _P2 = (
     6.23974539184983293730e-9,
 )
 _Q2 = (
-    6.02427039364742014255e0, 3.67983563856160859403e0,
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
     1.37702099489081330271e0, 2.16236993594496635890e-1,
     1.34204006088543189037e-2, 3.28014464682127739104e-4,
     2.89247864745380683936e-6, 6.79019408009981274425e-9,
@@ -128,15 +129,6 @@ def _polevl(x, coef):
     return acc
 
 
-def _p1evl(x, coef):
-    # polevl with a leading coefficient of 1
-    acc = x + coef[0]
-    for c in coef[1:]:
-        acc *= x
-        acc += c
-    return acc
-
-
 def _ndtri_slice(v):
     """Overwrite the 1-D float array `v`, values in [0, 1], with ndtri(v)."""
     upper = v > 1.0 - _EXP_M2
@@ -147,7 +139,7 @@ def _ndtri_slice(v):
     t2 = t * t
     x = _polevl(t2, _P0)
     x *= t2
-    x /= _p1evl(t2, _Q0)
+    x /= _polevl(t2, _Q0)
     x *= t
     x += t
     np.multiply(x, _S2PI, out=v)
@@ -162,11 +154,11 @@ def _ndtri_slice(v):
     z = 1.0 / x
     x1 = _polevl(z, _P1)
     x1 *= z
-    x1 /= _p1evl(z, _Q1)
+    x1 /= _polevl(z, _Q1)
     far = np.flatnonzero(x >= 8.0)
     if far.size:
         z = z[far]
-        x1[far] = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+        x1[far] = z * _polevl(z, _P2) / _polevl(z, _Q2)
     x0 -= x1
     x0[y == 0.0] = np.inf
     np.negative(x0, out=x0, where=~upper[tail])
@@ -191,8 +183,6 @@ def _stream_uniforms(seed: int, stream_ids, count: int, transform=None) -> np.nd
     is written, so the result holds `transform(u)`.
     """
     stream_ids = np.asarray(stream_ids, dtype=np.uint64)
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     key = np.uint64(seed)
     k0 = key & _MASK32
     k1 = key >> _SHIFT32

@@ -188,15 +188,6 @@ def run(
     max_iters is exhausted, or on divergence (cost above DIVERGENCE_CAP or a
     non-finite iterate); divergence is a status, never an exception.
     """
-    y = np.asarray(y, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if y.shape != (ens.m,):
-        raise ValueError(f"observations have shape {y.shape}, expected ({ens.m},)")
-    if x0.shape != (ens.n,):
-        raise ValueError(f"start point has shape {x0.shape}, expected ({ens.n},)")
-    if gt.x_star.shape != (ens.n,):
-        raise ValueError("ground truth dimension mismatch")
-
     rows, m = ens.rows, ens.m
     grad_fn = lambda x: gradient_kernel(rows, y, x, m)
 

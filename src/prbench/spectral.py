@@ -48,15 +48,7 @@ def leading_eigenpair(
     operator.  Takes real or complex arrays of any shape (Hermitian
     operators); norms and inner products run over all entries.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
-    v = np.asarray(v0)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        raise ValueError("start vector must be nonzero")
-    v = v / nv
+    v = v0 / np.linalg.norm(v0)
     lam_prev = None
     residual = np.inf
     for k in range(1, max_iters + 1):
@@ -88,9 +80,6 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
 
 def spectral_init(ens: SensingEnsemble, y) -> SpectralReport:
     """Spectral initial point x0 = sqrt(lambda_1 / 3) * v1 of Y."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (ens.m,):
-        raise ValueError(f"observations have shape {y.shape}, expected ({ens.m},)")
     rows = ens.rows
 
     def matvec(v):

@@ -510,6 +510,22 @@ class TestCli:
         ])
         assert code == 1
 
+    def test_init_failure_mid_sweep_keeps_finished_cells(self, tmp_path, capsys):
+        # the n=100 cell's power iteration fails after the n=10 cell is
+        # written: a finished cell's traces stay, and only a complete sweep
+        # writes summary.csv
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "--n_list", "10,100", "--m_list", "100", "--seed_list", "0",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "prbench: power iteration did not converge in 1000 iterations "
+            "(last residual 7.623e-10)\n"
+        )
+        assert sorted(os.listdir(out)) == [
+            f"n10_m100_{method}_spectral_s0.csv" for method in ("gd", "nesterov", "polyak")
+        ]
+
     @pytest.mark.parametrize("argv", [
         ["loo", "--n_list", "20", "--m_list", "300"],
         ["loo", "--n_list", "16", "--m_list", "32", "--loo_budget_m", "31"],
@@ -564,13 +580,22 @@ class TestCli:
         ["run", "--init", "zeros"],
         ["loo", "--n_list", "16", "--m_list", "32", "--loo_budget_m", "-1"],
         ["run", "--n_list", "10", "--m_list", "50", "--loo_budget_iters", "-1"],
+        # past the config's checks: a one-pixel image has n = 1, where the
+        # log n step-size defaults are undefined, and the concentration
+        # bounds need n >= 3
+        ["cdp", "--image", "one_pixel.pgm"],
+        ["concentration", "--n_list", "2"],
     ])
-    def test_out_of_range_input_exits_two(self, tmp_path, capsys, argv):
-        # rejected while validating the config, before any output exists
+    def test_out_of_range_input_exits_two(self, tmp_path, monkeypatch, capsys, argv):
+        # rejected before any output exists
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one_pixel.pgm").write_text("P2\n1 1\n255\n200\n")
         out = tmp_path / "out"
         code = cli.main(argv + ["--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("prbench: ")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("prbench: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, key", [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prbench.model import ground_truth, sample_ensemble, sample_unit_sphere
+from prbench.model import ground_truth, sample_unit_sphere
 from prbench.ric import C1, C2, C3, inc_bound, loc_radius
 from prbench.solvers import Method, default_params, override_params, run
 
@@ -82,12 +82,6 @@ class TestCheckInc:
         assert m == 461
         assert (round(min(incoherence), 2), round(max(incoherence), 2)) == (4.50, 7.84)
         assert (round(min(distance), 3), round(max(distance), 3)) == (0.856, 1.005)
-
-    def test_rejects_tiny_n(self):
-        ens = sample_ensemble(4, 1, seed=0)
-        gt = ground_truth([1.0])
-        with pytest.raises(ValueError):
-            check_inc(np.array([2.0]), gt, ens)
 
 
 class TestMomentumRegion:
