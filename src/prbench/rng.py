@@ -7,8 +7,10 @@ below 2^63 are reserved for ensemble row indices; named streams hash into
 the upper half of the id space via :func:`label_stream`.
 
 Each Philox block yields two 64-bit words, and each uniform double takes
-the top 53 bits of one word, mapped to (0, 1] (the top word rounds up to
-1.0).  Normal variates apply the inverse normal CDF to those uniforms; this
+the top 53 bits k of one word, mapped to (k + 1/2) 2^-53 in (0, 1).  The
+top word would round up to 1.0, and its normal draw to +inf, so it is
+clamped to 1 - 2^-53, a value no other word gives: every draw is finite.
+Normal variates apply the inverse normal CDF to those uniforms; this
 transform is part of the reproducibility contract.  It is Cephes' `ndtri`
 written in numpy, with the same bits as `scipy.special.ndtri`.
 
@@ -21,7 +23,7 @@ value.
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -34,9 +36,9 @@ _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 
 # cipher lanes per chunk, sized for L2: the rounds touch seven uint64 buffers
-# of this length (1.75 MiB at 2^15), and the words and the chunk's slice of
+# of this length (0.875 MiB at 2^14), and the words and the chunk's slice of
 # the result add 32 bytes a lane; any value gives the same draws
-_LANE_BUDGET = 1 << 15
+_LANE_BUDGET = 1 << 14
 
 # Cephes ndtri.c: e^-2 bounds the central branch and sqrt(2 pi) scales it;
 # each rational is P/Q with coefficients highest degree first, and each Q
@@ -85,12 +87,12 @@ _Q2 = (
 
 # values per pass of the inverse CDF: its temporaries stay in L2 and add
 # little to a bulk draw's peak memory; any value gives the same bits
-_NDTRI_SLICE = 1 << 14
+_NDTRI_SLICE = 1 << 13
 
 
 def label_stream(label: str) -> int:
     """Map a text label to a stream id disjoint from row-index streams."""
-    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(label.encode("utf-8"), digest_size=8).digest()
     return (1 << 63) | (int.from_bytes(digest, "little") >> 1)
 
 
@@ -175,7 +177,7 @@ def ndtri(v):
 
 
 def _stream_uniforms(seed: int, stream_ids, count: int, transform=None) -> np.ndarray:
-    """Uniform doubles in (0, 1], a C-contiguous (len(stream_ids), count) array.
+    """Uniform doubles in (0, 1), a C-contiguous (len(stream_ids), count) array.
 
     Row i is the first `count` values of stream (seed, stream_ids[i]);
     asking for fewer values returns a prefix of the same sequence.  The
@@ -223,6 +225,8 @@ def _stream_uniforms(seed: int, stream_ids, count: int, transform=None) -> np.nd
             dest[...] = pairs.reshape(r1 - r0, 2 * nb)[:, :hi - lo]
             dest += 0.5
             dest *= 2.0 ** -53
+            # the top word's 1.0 becomes 1 - 2^-53, which no other word gives
+            np.minimum(dest, 1.0 - 2.0 ** -53, out=dest)
             if transform is not None:
                 # a chunk is whole rows or part of one row: C-contiguous
                 transform(dest)

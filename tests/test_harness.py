@@ -90,6 +90,38 @@ class TestCmdRun:
             harness.cmd_run(self.cfg(tmp_path, out=bad))
 
 
+class TestCallOrder:
+    # the bench records each `harness.run` result as the call returns, and
+    # its reference lists them in this order: runs must not overlap or reorder
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        events, run = [], harness.run
+
+        def recorded(*args, **kwargs):
+            method = args[3].method.value
+            events.append(("start", method))
+            trace = run(*args, **kwargs)
+            events.append(("end", method))
+            return trace
+
+        monkeypatch.setattr(harness, "run", recorded)
+        return events
+
+    @staticmethod
+    def serial(methods):
+        return [(event, m) for m in methods for event in ("start", "end")]
+
+    def test_headtohead_runs_a_then_b(self, calls):
+        cfg = ExperimentConfig(n_list=(10,), method_a="polyak", method_b="gd")
+        headtohead_slope(cfg, 10, 200, 0)
+        assert calls == self.serial(["polyak", "gd"])
+
+    def test_sweep_cell_runs_methods_in_order_per_seed(self, calls):
+        cfg = ExperimentConfig(seed_list=(0, 1), methods=("nesterov", "gd", "polyak"))
+        harness.sweep_cell(cfg, 10, 200)
+        assert calls == self.serial(["nesterov", "gd", "polyak"] * 2)
+
+
 class TestHeadToHead:
     def test_self_comparison_slope_one(self, tmp_path):
         cfg = ExperimentConfig(

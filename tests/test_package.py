@@ -95,8 +95,10 @@ def test_every_config_key_is_read():
 
 def test_cli_imports_no_scipy():
     # scipy is a test dependency only: it doubles the start-up time of
-    # every CLI call
-    code = "import sys, prbench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # every CLI call; and hashlib would load OpenSSL's libcrypto (3.5 MiB)
+    # only for BLAKE2, which `_blake2` provides
+    code = ("import sys, prbench.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith('scipy') or m in ('hashlib', '_hashlib')))")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
