@@ -42,6 +42,9 @@ case_ sweep_odd sweep --n_list 7,33 --m_list 100,500 --seed_list 0
 case_ sweep_init_fail sweep --n_list 10,100 --m_list 100 --seed_list 0
 case_ run_gd run --n_list 10 --m_list 200 --seed_list 0 --methods gd
 case_ run_random run --n_list 50 --m_list 500 --seed_list 3 --methods nesterov --init random
+# a 128 PiB ensemble, larger than any 64-bit address space: the allocation fails
+# at once, touching no page (exit 2)
+case_ run_alloc_fail run --n_list 1099511627776 --m_list 16384
 case_ headtohead headtohead --n_list 64 --seed_list 0,1,2
 # the bench's shape, n=256 and m=14196, whose ensemble spans many sampling chunks
 case_ headtohead_bench headtohead --n_list 256 --seed_list 0
@@ -77,3 +80,5 @@ case_ cdp_image_range cdp --image image.pgm --mask_count 2 --cdp_iters 5
 mkdir -p "$out/cdp_one_pixel"
 printf 'P2\n1 1\n255\n200\n' >"$out/cdp_one_pixel/image.pgm"
 case_ cdp_one_pixel cdp --image image.pgm
+# a 257 x 257 synthetic image is over the 2^16-pixel limit (exit 2)
+case_ cdp_size_limit cdp --cdp_size 257

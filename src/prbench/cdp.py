@@ -21,6 +21,9 @@ from .spectral import SpectralReport, leading_eigenpair
 
 _INIT_STREAM = rng.label_stream("cdp-power")
 
+# desk-scale limit on the image's pixel count
+MAX_PIXELS = 1 << 16
+
 # module-level FFT call counter; per-iteration parity across methods is a
 # contract the tests measure rather than assume
 _fft_calls = 0
@@ -34,8 +37,7 @@ def sample_masks(shape, L: int, seed: int) -> np.ndarray:
     """Draw L octanary masks d = b1 * b2 as a read-only (L, *shape) array:
     b1 uniform on {1, -1, i, -i}, b2 = sqrt(2)/2 with probability 4/5 and
     sqrt(3) with probability 1/5."""
-    shape = tuple(int(s) for s in np.atleast_1d(shape))
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     quarter_turns = np.array([1.0, 1.0j, -1.0, -1.0j])
     streams = [rng.label_stream(f"cdp-mask-{ell}") for ell in range(L)]
     u = rng._stream_uniforms(seed, streams, 2 * n)
@@ -126,7 +128,7 @@ def cdp_problem(image, L: int, seed: int) -> CdpProblem:
     """Draw the masks, observe the image through them, and compute the
     spectral start, once per seed."""
     image = np.asarray(image, dtype=float)
-    if image.size > 1 << 16:
+    if image.size > MAX_PIXELS:
         raise ValueError(f"desk-scale limit is 2^16 pixels, got {image.size}")
     z_star = image.astype(complex)
     masks = sample_masks(image.shape, L, seed)

@@ -1,7 +1,8 @@
 """Command line front-end: prbench <subcommand> [--config <path>] [--key value ...].
 
 Exit codes: 0 on success, 1 when an output carries a failed pass flag,
-2 on usage, input-range or I/O errors (one `prbench: ...` line on stderr).
+2 on usage, input-range, I/O or allocation errors (one `prbench: ...` line on
+stderr).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def main(argv=None) -> int:
             with open(path, "r", encoding="utf-8") as fh:
                 values = {**parse_config(fh.read()), **values}
         return COMMANDS[argv[0]](make_config(values))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"prbench: {exc}", file=sys.stderr)
         return 2
 

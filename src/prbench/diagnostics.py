@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroundTruth, SensingEnsemble
+from .model import SensingEnsemble
 from .objective import gradient_kernel
 from .solvers import Method, SolverParams, momentum_step, run
 
@@ -66,7 +66,7 @@ def loo_sequence(
 
 
 def loo_run(
-    ens: SensingEnsemble, y, x0, params: SolverParams, gt: GroundTruth
+    ens: SensingEnsemble, y, x0, params: SolverParams, x_star: np.ndarray
 ) -> LooBundle:
     """Run the m leave-one-out sequences next to the main sequence.
 
@@ -75,7 +75,7 @@ def loo_run(
     Every sequence iterates exactly T steps so the pairwise distances are
     time-aligned.  The cost is O(m^2 n T).
     """
-    steps = run(ens, y, x0, params, gt=gt).n_steps
+    steps = run(ens, y, x0, params, x_star).n_steps
     main = _iterates(ens.rows, y, x0, params, steps, ens.m)
 
     dist_main = np.zeros((ens.m, steps + 1))
@@ -140,18 +140,11 @@ def quadratic_oracle(method: Method) -> float:
     return math.exp(sum(tail) / len(tail))
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
-    max_row_norm: float
-    row_norm_bound: float
-    row_norm_ok: bool
-    max_projection: float
-    projection_bound: float
-    projection_ok: bool
-
-
-def concentration_report(ens: SensingEnsemble, probe) -> ConcentrationReport:
-    """Row-norm and projection concentration checks.
+def concentration_report(
+    ens: SensingEnsemble, probe
+) -> tuple[float, float, bool, float, float, bool]:
+    """Row-norm and projection concentration checks, as the tuple
+    (max_row_norm, row_bound, row_ok, max_projection, proj_bound, proj_ok).
 
     The probe must be independent of the ensemble (caller responsibility;
     a fresh unit-sphere draw or any fixed vector qualifies).  Rejects
@@ -164,11 +157,5 @@ def concentration_report(ens: SensingEnsemble, probe) -> ConcentrationReport:
     row_bound = math.sqrt(6.0 * ens.n)
     max_proj = float(np.max(np.abs(ens.rows @ probe)))
     proj_bound = 5.0 * math.sqrt(math.log(ens.n)) * float(np.linalg.norm(probe))
-    return ConcentrationReport(
-        max_row_norm=max_row,
-        row_norm_bound=row_bound,
-        row_norm_ok=max_row <= row_bound,
-        max_projection=max_proj,
-        projection_bound=proj_bound,
-        projection_ok=max_proj <= proj_bound,
-    )
+    return (max_row, row_bound, max_row <= row_bound,
+            max_proj, proj_bound, max_proj <= proj_bound)

@@ -149,6 +149,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name, value, low in minimums:
         if not value >= low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
+    # here, not in cdp_problem: the synthetic image is built before that runs
+    if cfg.cdp_size ** 2 > cdp_mod.MAX_PIXELS:
+        raise ValueError(f"cdp_size must be at most {math.isqrt(cdp_mod.MAX_PIXELS)}, "
+                         f"got {cfg.cdp_size}")
     # a tol at or above the floor leaves the slope fit window empty
     if not cfg.tol < FIT_FLOOR:
         raise ValueError(f"tol must be below the slope fit floor {FIT_FLOOR}, got {cfg.tol}")
@@ -188,22 +192,22 @@ def _write_csv(path, header, row_format, rows, comments=()):
 
 
 def _problem(n: int, m: int, seed: int, init: str):
-    """The seed's one instance: ensemble, ground truth, observations, start."""
+    """The seed's one instance: ensemble, target x_star, observations, start."""
     ens = sample_ensemble(m, n, seed)
-    gt = random_ground_truth(n, seed)
-    y = observe(ens, gt)
+    x_star = random_ground_truth(n, seed)
+    y = observe(ens, x_star)
     x0 = spectral_init(ens, y).x0 if init == "spectral" else random_init(n, seed)
-    return ens, gt, y, x0
+    return ens, x_star, y, x0
 
 
 def _traces(cfg: ExperimentConfig, n: int, m: int, seed: int, methods, rule):
     """Each method run on the seed's one instance, with the parameters
     `rule(n, ||x0||, method)` under the config's overrides."""
-    ens, gt, y, x0 = _problem(n, m, seed, cfg.init)
+    ens, x_star, y, x0 = _problem(n, m, seed, cfg.init)
     norm_x0 = float(np.linalg.norm(x0))
     return [
         run(ens, y, x0, override_params(rule(n, norm_x0, method), cfg.eta, cfg.beta,
-                                        max_iters=cfg.max_iters, tol=cfg.tol), gt=gt)
+                                        max_iters=cfg.max_iters, tol=cfg.tol), x_star)
         for method in methods
     ]
 
@@ -347,12 +351,12 @@ def cmd_loo(cfg: ExperimentConfig) -> int:
     if m > cfg.loo_budget_m:
         raise ValueError(f"leave-one-out budget allows m <= {cfg.loo_budget_m}, got {m}")
     method = cfg.methods[0]
-    ens, gt, y, x0 = _problem(n, m, seed, cfg.init)
+    ens, x_star, y, x0 = _problem(n, m, seed, cfg.init)
     params = override_params(
         default_params(n, float(np.linalg.norm(x0)), method), cfg.eta, cfg.beta,
         max_iters=min(cfg.max_iters, cfg.loo_budget_iters), tol=cfg.tol,
     )
-    proximity = loo_run(ens, y, x0, params, gt).proximity
+    proximity = loo_run(ens, y, x0, params, x_star).proximity
     threshold = loo_threshold(n)
     rows = [(t, p, threshold, p <= threshold) for t, p in enumerate(proximity)]
     within = all(row[-1] for row in rows)
@@ -380,15 +384,9 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
 def cmd_concentration(cfg: ExperimentConfig) -> int:
     n = cfg.n_list[0]
     m = _sample_count(cfg, n)
-    rows = []
-    for seed in cfg.seed_list:
-        ens = sample_ensemble(m, n, seed)
-        probe = sample_unit_sphere(n, seed)
-        rep = concentration_report(ens, probe)
-        rows.append((
-            seed, rep.max_row_norm, rep.row_norm_bound, rep.row_norm_ok,
-            rep.max_projection, rep.projection_bound, rep.projection_ok,
-        ))
+    rows = [(seed, *concentration_report(sample_ensemble(m, n, seed),
+                                         sample_unit_sphere(n, seed)))
+            for seed in cfg.seed_list]
     _write_csv(
         cfg.out,
         ("seed", "max_row_norm", "row_bound", "row_ok",

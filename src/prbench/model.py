@@ -32,19 +32,6 @@ class SensingEnsemble:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    x_star: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.norm):
-            raise ValueError("ground truth vector must be finite")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.x_star))
-
-
 def sample_ensemble(m: int, n: int, seed: int) -> SensingEnsemble:
     """Draw an m x n standard normal ensemble; row i uses stream (seed, i)."""
     rows = rng.normal_rows(seed, m, n)
@@ -52,15 +39,11 @@ def sample_ensemble(m: int, n: int, seed: int) -> SensingEnsemble:
     return SensingEnsemble(rows=rows, seed=seed)
 
 
-def ground_truth(x_star) -> GroundTruth:
-    x_star = np.asarray(x_star, dtype=float).copy()
+def random_ground_truth(n: int, seed: int) -> np.ndarray:
+    """Unit-norm target x_star drawn uniformly from the sphere, read-only."""
+    x_star = sample_unit_sphere(n, seed)
     x_star.setflags(write=False)
-    return GroundTruth(x_star=x_star)
-
-
-def random_ground_truth(n: int, seed: int) -> GroundTruth:
-    """Unit-norm target drawn uniformly from the sphere."""
-    return ground_truth(sample_unit_sphere(n, seed))
+    return x_star
 
 
 def unit_sphere(n: int, seed: int, stream: int) -> np.ndarray:
@@ -75,13 +58,10 @@ def sample_unit_sphere(n: int, seed: int) -> np.ndarray:
     return unit_sphere(n, seed, _SPHERE_STREAM)
 
 
-def observe(ens: SensingEnsemble, gt: GroundTruth) -> np.ndarray:
+def observe(ens: SensingEnsemble, x_star: np.ndarray) -> np.ndarray:
     """Exact noiseless observations y_i = (a_i . x_star)^2, read-only."""
-    proj = ens.rows @ gt.x_star
+    proj = ens.rows @ x_star
     y = proj * proj
-    # a square cannot be negative, but it can overflow
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observations must be finite")
     y.setflags(write=False)
     return y
 

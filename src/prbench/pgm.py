@@ -66,10 +66,7 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write a float image in [0, 1] as 8-bit P5, clipping out-of-range values."""
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError("graymap images must be two-dimensional")
+    """Write a 2-D float image in [0, 1] as 8-bit P5, clipping out-of-range values."""
     quantized = np.clip(np.rint(image * 255), 0, 255).astype(np.uint8)
     height, width = image.shape
     with open(path, "wb") as fh:

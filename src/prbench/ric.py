@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import math
 
-from .model import GroundTruth
+import numpy as np
 
 # region constants of the analysis: locality radius 2 c1 ||x*||, incoherence
 # bound c2 sqrt(log n) ||x*||, leave-one-out threshold c3 sqrt(log n / n)
 C1, C2, C3 = 0.3, 5.0, 5.0
 
 
-def loc_radius(gt: GroundTruth) -> float:
-    return 2.0 * C1 * gt.norm
+def loc_radius(x_star: np.ndarray) -> float:
+    return 2.0 * C1 * float(np.linalg.norm(x_star))
 
 
-def inc_bound(n: int, gt: GroundTruth) -> float:
-    return C2 * math.sqrt(math.log(n)) * gt.norm
+def inc_bound(n: int, x_star: np.ndarray) -> float:
+    return C2 * math.sqrt(math.log(n)) * float(np.linalg.norm(x_star))
 
 
 def loo_threshold(n: int) -> float:

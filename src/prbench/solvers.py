@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import GroundTruth, SensingEnsemble, align_sign
+from .model import SensingEnsemble, align_sign
 from .objective import gradient_kernel
 from .ric import inc_bound, loc_radius
 
@@ -130,8 +130,6 @@ def default_params(n: int, norm_x0: float, method: Method) -> SolverParams:
     targeting a (2, log n)-conditioned objective; beta = 0 for GD."""
     if n < 2:
         raise ValueError("defaults need n >= 2 (log n degenerate)")
-    if norm_x0 <= 0:
-        raise ValueError("norm_x0 must be positive")
     method = Method(method)
     ell = math.log(n)
     eta = 0.05 / ell / (norm_x0 * norm_x0)
@@ -180,7 +178,7 @@ def run(
     y,
     x0,
     params: SolverParams,
-    gt: GroundTruth,
+    x_star: np.ndarray,
 ) -> IterationTrace:
     """Drive the chosen method and record the per-iteration trace.
 
@@ -191,8 +189,8 @@ def run(
     rows, m = ens.rows, ens.m
     grad_fn = lambda x: gradient_kernel(rows, y, x, m)
 
-    sign = align_sign(x0, gt.x_star)
-    target = sign * gt.x_star
+    sign = align_sign(x0, x_star)
+    target = sign * x_star
     target_proj = rows.dot(target)
     # ||x + target|| >= 2 ||target|| - dist, so the second sign can meet tol
     # only from this dist on; the margin covers rounding in both norms
@@ -268,8 +266,8 @@ def run(
         cost=np.asarray(cost, dtype=float),
         grad_norm=np.asarray(grad_norm, dtype=float),
         max_incoherence=max_inc,
-        loc_ok=dist <= loc_radius(gt),
-        inc_ok=max_inc <= (inc_bound(ens.n, gt) if ens.n >= 2 else np.inf),
+        loc_ok=dist <= loc_radius(x_star),
+        inc_ok=max_inc <= (inc_bound(ens.n, x_star) if ens.n >= 2 else np.inf),
         paired_norm=paired,
         contraction_ratio=ratio,
         status=status,

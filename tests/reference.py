@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from prbench.model import GroundTruth, SensingEnsemble, align_sign
+from prbench.model import SensingEnsemble, align_sign
 from prbench.objective import gradient_kernel
 from prbench.ric import inc_bound, loc_radius
 
@@ -86,17 +86,17 @@ def incoherence(ens: SensingEnsemble, delta) -> float:
     return float(np.max(np.abs(ens.rows @ delta)))
 
 
-def check_loc(x, gt: GroundTruth) -> bool:
+def check_loc(x, x_star: np.ndarray) -> bool:
     """Locality: dist(x, x_star) <= 2 c1 ||x_star|| (inclusive)."""
-    return dist(x, gt.x_star) <= loc_radius(gt)
+    return dist(x, x_star) <= loc_radius(x_star)
 
 
-def check_inc(x, gt: GroundTruth, ens: SensingEnsemble) -> tuple[bool, float]:
+def check_inc(x, x_star: np.ndarray, ens: SensingEnsemble) -> tuple[bool, float]:
     """Incoherence of the sign-aligned error; returns (ok, max incoherence)."""
     x = np.asarray(x, dtype=float)
-    bound = inc_bound(ens.n, gt)
-    s = align_sign(x, gt.x_star)
-    value = incoherence(ens, x - s * gt.x_star)
+    bound = inc_bound(ens.n, x_star)
+    s = align_sign(x, x_star)
+    value = incoherence(ens, x - s * x_star)
     return value <= bound, value
 
 

@@ -75,13 +75,14 @@ class TestConcentrationReport:
     def test_twenty_seeds_pass(self):
         for seed in range(20):
             ens = sample_ensemble(1000, 100, seed)
-            rep = concentration_report(ens, sample_unit_sphere(100, seed))
-            assert rep.row_norm_ok and rep.projection_ok
+            probe = sample_unit_sphere(100, seed)
+            _, _, row_ok, _, _, proj_ok = concentration_report(ens, probe)
+            assert row_ok and proj_ok
 
     def test_zero_probe(self):
         ens = sample_ensemble(10, 8, seed=0)
-        rep = concentration_report(ens, np.zeros(8))
-        assert rep.projection_ok and rep.max_projection == 0.0
+        _, _, _, max_proj, _, proj_ok = concentration_report(ens, np.zeros(8))
+        assert proj_ok and max_proj == 0.0
 
     def test_rejects_small_n(self):
         ens = sample_ensemble(10, 2, seed=0)
@@ -90,38 +91,38 @@ class TestConcentrationReport:
 
     def test_bounds_values(self):
         ens = sample_ensemble(50, 9, seed=1)
-        rep = concentration_report(ens, sample_unit_sphere(9, 2))
-        assert rep.row_norm_bound == pytest.approx(math.sqrt(54))
-        assert rep.projection_bound == pytest.approx(5 * math.sqrt(math.log(9)))
+        _, row_bound, _, _, proj_bound, _ = concentration_report(ens, sample_unit_sphere(9, 2))
+        assert row_bound == pytest.approx(math.sqrt(54))
+        assert proj_bound == pytest.approx(5 * math.sqrt(math.log(9)))
 
 
 class TestLooRun:
     def setup_method(self):
         self.n, self.m, self.seed = 24, 48, 3
-        self.ens, self.gt, self.y, self.x0 = make_problem(self.n, self.m, self.seed)
+        self.ens, self.x_star, self.y, self.x0 = make_problem(self.n, self.m, self.seed)
         self.params = capped_defaults(
             self.n, float(np.linalg.norm(self.x0)), Method.POLYAK, max_iters=80
         )
 
     def test_zero_proximity_at_start(self):
-        bundle = loo_run(self.ens, self.y, self.x0, self.params, self.gt)
+        bundle = loo_run(self.ens, self.y, self.x0, self.params, self.x_star)
         assert bundle.proximity[0] == 0.0
         assert np.array_equal(bundle.dist_main[:, 0], np.zeros(self.m))
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_zero_steps(self, m):
         # max_iters=0 takes no step: proximity is the one start entry
-        ens, gt, y, x0 = make_problem(8, m, 0, init="random")
+        ens, x_star, y, x0 = make_problem(8, m, 0, init="random")
         params = SolverParams(Method.POLYAK, eta=0.1, beta=0.5, max_iters=0)
-        bundle = loo_run(ens, y, x0, params, gt)
+        bundle = loo_run(ens, y, x0, params, x_star)
         assert np.array_equal(bundle.proximity, [0.0])
         assert bundle.dist_main.shape == (m, 1)
 
     def test_single_measurement_sequence_frozen(self):
         # removing the only row leaves the zero cost; GD never moves
         ens = sample_ensemble(1, 4, seed=0)
-        gt = random_ground_truth(4, 0)
-        y = observe(ens, gt)
+        x_star = random_ground_truth(4, 0)
+        y = observe(ens, x_star)
         x0 = np.array([1.0, -2.0, 0.5, 0.25])
         params = SolverParams(method=Method.GD, eta=0.1, max_iters=10)
         seq = loo_sequence(ens, y, x0, params, 0, 10)
@@ -140,8 +141,8 @@ class TestLooRun:
         assert np.isnan(other[-1]).all()
 
     def test_proximity_matches_sequences(self):
-        bundle = loo_run(self.ens, self.y, self.x0, self.params, self.gt)
-        steps = run(self.ens, self.y, self.x0, self.params, gt=self.gt).n_steps
+        bundle = loo_run(self.ens, self.y, self.x0, self.params, self.x_star)
+        steps = run(self.ens, self.y, self.x0, self.params, x_star=self.x_star).n_steps
         main = _iterates(self.ens.rows, self.y, self.x0, self.params, steps, self.m)
         by_hand = np.array([
             np.linalg.norm(
@@ -168,18 +169,18 @@ class TestLooRun:
         # loo_run rebuilds the main iterates with _iterates, so its iterates
         # must give every column of run's bit for bit, each recomputed here
         # with `@` and np.linalg.norm
-        ens, gt, y, x0 = make_problem(n, m, seed)
+        ens, x_star, y, x0 = make_problem(n, m, seed)
         beta = 0.0 if method is Method.GD else 0.5
         eta = default_params(n, float(np.linalg.norm(x0)), method).eta
         if rows is None:
             params = SolverParams(method, eta=eta, beta=beta, max_iters=80)
         else:
             params = SolverParams(method, eta=eta, beta=beta, max_iters=rows - 1, tol=1e-300)
-        trace = run(ens, y, x0, params, gt=gt)
+        trace = run(ens, y, x0, params, x_star)
         if rows is not None:
             assert trace.status is Status.MAX_ITERS and len(trace.iters) == rows
         xs = _iterates(ens.rows, y, x0, params, trace.n_steps, m)
-        target = trace.sign * gt.x_star
+        target = trace.sign * x_star
         projs = [ens.rows @ x for x in xs]
         grads = [ens.rows.T @ ((p * p - y) * p) / m for p in projs]
         target_proj = ens.rows @ target
@@ -202,12 +203,12 @@ class TestLooIncoherenceChain:
 
     def test_inequality_along_trace(self):
         n, m, seed = 32, 64, 1
-        ens, gt, y, x0 = make_problem(n, m, seed)
+        ens, x_star, y, x0 = make_problem(n, m, seed)
         params = capped_defaults(n, float(np.linalg.norm(x0)), Method.POLYAK, 60)
-        trace = run(ens, y, x0, params, gt=gt)
+        trace = run(ens, y, x0, params, x_star)
         xs = _iterates(ens.rows, y, x0, params, trace.n_steps, m)
-        bundle = loo_run(ens, y, x0, params, gt)
-        target = trace.sign * gt.x_star
+        bundle = loo_run(ens, y, x0, params, x_star)
+        target = trace.sign * x_star
         row_norms = np.linalg.norm(ens.rows, axis=1)
         proj_const = 5.0 * math.sqrt(math.log(n))
         steps = bundle.proximity.shape[0] - 1
@@ -228,13 +229,13 @@ class TestContractionConsistency:
         # bounded by the norm of the pair map at the midpoint Hessian
         n = 32
         m = int(round(10 * n * math.log(n)))
-        ens, gt, y, x0 = make_problem(n, m, 0)
+        ens, x_star, y, x0 = make_problem(n, m, 0)
         params = default_params(n, float(np.linalg.norm(x0)), Method.POLYAK)
-        trace = run(ens, y, x0, params, gt=gt)
+        trace = run(ens, y, x0, params, x_star)
         xs = _iterates(ens.rows, y, x0, params, trace.n_steps, m)
         assert trace.converged
         assert trace.loc_ok.all() and trace.inc_ok.all()
-        target = trace.sign * gt.x_star
+        target = trace.sign * x_star
         for t in range(1, trace.n_steps + 1, 7):
             midpoint = 0.5 * (xs[t - 1] + target)
             mat = contraction_matrix_hb(
@@ -249,10 +250,10 @@ class TestLatePhaseImplication:
         # the row-norm bound forces the incoherence flag
         n, seed = 24, 2
         m = int(round(10 * n * math.log(n)))
-        ens, gt, y, x0 = make_problem(n, m, seed)
+        ens, x_star, y, x0 = make_problem(n, m, seed)
         assert np.linalg.norm(ens.rows, axis=1).max() <= math.sqrt(6 * n)
         params = default_params(n, float(np.linalg.norm(x0)), Method.NESTEROV)
-        trace = run(ens, y, x0, params, gt=gt)
+        trace = run(ens, y, x0, params, x_star)
         cutoff = 5.0 * math.sqrt(math.log(n)) / math.sqrt(6 * n)
         late = trace.dist <= cutoff
         assert late.any()

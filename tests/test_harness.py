@@ -325,9 +325,9 @@ class TestRowFormats:
         assert path.read_text().split("\n") == expected.split("\n")
 
     def test_overflow_trace(self, tmp_path):
-        ens, gt, y, x0 = harness._problem(10, 60, 0, "spectral")
+        ens, x_star, y, x0 = harness._problem(10, 60, 0, "spectral")
         params = harness.default_params(10, float(np.linalg.norm(x0)), "gd")
-        trace = harness.run(ens, y, x0, harness.override_params(params, 1e300, None), gt)
+        trace = harness.run(ens, y, x0, harness.override_params(params, 1e300, None), x_star)
         # row 1 holds inf, nan and a finite value above 1e300
         assert trace.dist[1] == math.inf and math.isnan(trace.grad_norm[1])
         assert 1e300 < trace.max_incoherence[1] < math.inf
@@ -446,6 +446,13 @@ class TestSharedInstance:
             assert own and own == [line for line in lines if line.startswith(method + ",")]
             image = f"recovered_{method}.pgm"
             assert (single / image).read_bytes() == (both / image).read_bytes()
+
+    def test_instances_are_read_only(self):
+        # every method runs on the same arrays, so none may write them
+        ens, x_star, y, _ = harness._problem(10, 60, 0, "spectral")
+        masks = cdp.cdp_problem(cdp.synthetic_image(8, 8), 3, 0).masks
+        for array in (ens.rows, x_star, y, masks):
+            assert not array.flags.writeable
 
 
 class TestCli:
@@ -617,6 +624,9 @@ class TestCli:
         # bounds need n >= 3
         ["cdp", "--image", "one_pixel.pgm"],
         ["concentration", "--n_list", "2"],
+        # a 16384 x 2^40 ensemble is 128 PiB, more than any 64-bit address
+        # space holds: numpy's MemoryError comes at once and touches no page
+        ["run", "--n_list", "1099511627776", "--m_list", "16384"],
     ])
     def test_out_of_range_input_exits_two(self, tmp_path, monkeypatch, capsys, argv):
         # rejected before any output exists
@@ -672,6 +682,15 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"prbench: {image}: ")
         assert not out.exists()
+
+    def test_cdp_size_checked_before_the_image_is_built(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("the synthetic image was built")
+
+        monkeypatch.setattr(cdp, "synthetic_image", unreachable)
+        code = cli.main(["cdp", "--cdp_size", "257", "--out", str(tmp_path / "cdp")])
+        assert code == 2
+        assert capsys.readouterr().err == "prbench: cdp_size must be at most 256, got 257\n"
 
     def test_cdp_non_square_image(self, tmp_path):
         # 12 rows by 20 columns: a transposed image anywhere on the path

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from prbench.model import (
     SensingEnsemble,
-    ground_truth,
     observe,
     random_ground_truth,
     sample_ensemble,
@@ -42,19 +41,16 @@ class TestSampleEnsemble:
 class TestObserve:
     def test_zero_signal(self):
         ens = sample_ensemble(10, 4, seed=0)
-        gt = ground_truth(np.zeros(4))
-        assert np.array_equal(observe(ens, gt), np.zeros(10))
+        assert np.array_equal(observe(ens, np.zeros(4)), np.zeros(10))
 
     def test_single_entry(self):
         ens = SensingEnsemble(rows=np.array([[1.0]]), seed=0)
-        gt = ground_truth([2.0])
-        assert observe(ens, gt)[0] == 4.0
+        assert observe(ens, np.array([2.0]))[0] == 4.0
 
     def test_sign_invariance(self):
         ens = sample_ensemble(20, 6, seed=2)
-        gt = random_ground_truth(6, 2)
-        flipped = ground_truth(-gt.x_star)
-        assert np.array_equal(observe(ens, gt), observe(ens, flipped))
+        x_star = random_ground_truth(6, 2)
+        assert np.array_equal(observe(ens, x_star), observe(ens, -x_star))
 
     def test_dimension_mismatch(self):
         ens = sample_ensemble(5, 3, seed=0)
@@ -68,13 +64,13 @@ class TestObserve:
 
 class TestDist:
     def test_identity_and_sign(self):
-        gt = random_ground_truth(5, 0)
-        assert dist(gt.x_star, gt.x_star) == 0.0
-        assert dist(-gt.x_star, gt.x_star) == 0.0
+        x_star = random_ground_truth(5, 0)
+        assert dist(x_star, x_star) == 0.0
+        assert dist(-x_star, x_star) == 0.0
 
     def test_double(self):
-        gt = random_ground_truth(5, 1)
-        assert dist(2 * gt.x_star, gt.x_star) == pytest.approx(gt.norm, rel=1e-12)
+        x_star = random_ground_truth(5, 1)
+        assert dist(2 * x_star, x_star) == pytest.approx(np.linalg.norm(x_star), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -112,8 +108,8 @@ class TestUnitSphere:
 
 class TestGroundTruth:
     def test_norm_consistency(self):
-        gt = random_ground_truth(6, 9)
-        assert gt.norm == pytest.approx(1.0, abs=1e-12)
+        x_star = random_ground_truth(6, 9)
+        assert np.linalg.norm(x_star) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concentration_over_twenty_seeds():

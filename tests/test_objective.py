@@ -35,9 +35,9 @@ def single_term_problem():
 
 class TestCost:
     def test_zero_at_truth_both_signs(self, small_problem):
-        ens, gt, y, _ = small_problem
-        assert cost(ens, y, gt.x_star) == 0.0
-        assert cost(ens, y, -gt.x_star) == 0.0
+        ens, x_star, y, _ = small_problem
+        assert cost(ens, y, x_star) == 0.0
+        assert cost(ens, y, -x_star) == 0.0
 
     def test_single_term(self):
         ens, y = single_term_problem()
@@ -64,8 +64,8 @@ class TestCost:
 
 class TestGradient:
     def test_zero_at_truth(self, small_problem):
-        ens, gt, y, _ = small_problem
-        assert np.linalg.norm(gradient(ens, y, gt.x_star)) == 0.0
+        ens, x_star, y, _ = small_problem
+        assert np.linalg.norm(gradient(ens, y, x_star)) == 0.0
 
     def test_single_term(self):
         ens, y = single_term_problem()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prbench.model import ground_truth, sample_unit_sphere
+from prbench.model import sample_unit_sphere
 from prbench.ric import C1, C2, C3, inc_bound, loc_radius
 from prbench.solvers import Method, default_params, override_params, run
 
@@ -23,45 +23,45 @@ class TestRicConfig:
 
 class TestCheckLoc:
     def test_at_truth(self, problem):
-        _, gt, _, _ = problem
-        assert check_loc(gt.x_star, gt)
+        _, x_star, _, _ = problem
+        assert check_loc(x_star, x_star)
 
     def test_outside_radius(self, problem):
-        _, gt, _, _ = problem
+        _, x_star, _, _ = problem
         e1 = np.zeros(16)
         e1[0] = 1.0
-        far = gt.x_star + 3.0 * C1 * gt.norm * e1
-        assert not check_loc(far, gt)
+        far = x_star + 3.0 * C1 * np.linalg.norm(x_star) * e1
+        assert not check_loc(far, x_star)
 
     def test_boundary_inclusive(self, problem):
-        _, gt, _, _ = problem
+        _, x_star, _, _ = problem
         e1 = np.zeros(16)
         e1[0] = 1.0
-        edge = gt.x_star + 2.0 * C1 * gt.norm * e1
-        assert check_loc(edge, gt)
+        edge = x_star + 2.0 * C1 * np.linalg.norm(x_star) * e1
+        assert check_loc(edge, x_star)
 
 
 class TestCheckInc:
     def test_at_truth(self, problem):
-        ens, gt, _, _ = problem
-        ok, value = check_inc(gt.x_star, gt, ens)
+        ens, x_star, _, _ = problem
+        ok, value = check_inc(x_star, x_star, ens)
         assert ok and value == 0.0
 
     def test_constructed_violation(self, problem):
-        ens, gt, _, _ = problem
+        ens, x_star, _, _ = problem
         a1 = ens.rows[0]
         delta = a1 / np.linalg.norm(a1) * C2 * math.sqrt(math.log(16)) * 2.0
-        ok, value = check_inc(gt.x_star + delta, gt, ens)
+        ok, value = check_inc(x_star + delta, x_star, ens)
         assert not ok
-        assert value > inc_bound(16, gt)
+        assert value > inc_bound(16, x_star)
 
     def test_spectral_points_incoherent(self):
         # spectral starts at theory-scale sampling stay incoherent
         n = 64
         m = int(round(10 * n * math.log(n)))
         for seed in range(20):
-            ens, gt, y, x0 = make_problem(n, m, seed)
-            ok, _ = check_inc(x0, gt, ens)
+            ens, x_star, y, x0 = make_problem(n, m, seed)
+            ok, _ = check_inc(x0, x_star, ens)
             assert ok
 
     def test_c08_starts_incoherent_but_not_local(self):
@@ -73,12 +73,12 @@ class TestCheckInc:
         m = int(round(n * math.log(n)))
         incoherence, distance = [], []
         for seed in range(5):
-            ens, gt, _, x0 = make_problem(n, m, seed)
-            ok, value = check_inc(x0, gt, ens)
+            ens, x_star, _, x0 = make_problem(n, m, seed)
+            ok, value = check_inc(x0, x_star, ens)
             assert ok
-            assert not check_loc(x0, gt)
+            assert not check_loc(x0, x_star)
             incoherence.append(value)
-            distance.append(dist(x0, gt.x_star))
+            distance.append(dist(x0, x_star))
         assert m == 461
         assert (round(min(incoherence), 2), round(max(incoherence), 2)) == (4.50, 7.84)
         assert (round(min(distance), 3), round(max(distance), 3)) == (0.856, 1.005)
@@ -92,13 +92,13 @@ class TestMomentumRegion:
     def run_cell(seed, beta):
         n = 100
         m = int(round(n * math.log(n)))
-        ens, gt, y, x0 = make_problem(n, m, seed)
+        ens, x_star, y, x0 = make_problem(n, m, seed)
         params = override_params(
             default_params(n, float(np.linalg.norm(x0)), Method.POLYAK), None, beta,
             max_iters=20000,
         )
-        trace = run(ens, y, x0, params, gt=gt)
-        return trace, float(trace.max_incoherence[1:].max()) / inc_bound(n, gt)
+        trace = run(ens, y, x0, params, x_star)
+        return trace, float(trace.max_incoherence[1:].max()) / inc_bound(n, x_star)
 
     def test_beta_half_stays_incoherent(self):
         steps, ratios = [], []
@@ -162,7 +162,6 @@ class TestContractionMatrices:
 
 
 def test_loc_radius_and_inc_bound_scale_with_norm():
-    gt2 = ground_truth(2.0 * sample_unit_sphere(8, 0))
-    gt1 = ground_truth(sample_unit_sphere(8, 0))
-    assert loc_radius(gt2) == pytest.approx(2.0 * loc_radius(gt1))
-    assert inc_bound(8, gt2) == pytest.approx(2.0 * inc_bound(8, gt1))
+    x_star = sample_unit_sphere(8, 0)
+    assert loc_radius(2.0 * x_star) == pytest.approx(2.0 * loc_radius(x_star))
+    assert inc_bound(8, 2.0 * x_star) == pytest.approx(2.0 * inc_bound(8, x_star))

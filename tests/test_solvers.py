@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prbench.model import SensingEnsemble, ground_truth
+from prbench.model import SensingEnsemble
 from prbench.solvers import (
     Method,
     SolverParams,
@@ -44,7 +44,7 @@ def scalar_recursion(method, mu, L, eta, beta, steps):
 
 def tiny_problem():
     ens = SensingEnsemble(rows=np.array([[1.0]]), seed=0)
-    return ens, np.array([1.0]), ground_truth([1.0])
+    return ens, np.array([1.0]), np.array([1.0])
 
 
 def grad_of(ens, y):
@@ -56,18 +56,18 @@ class TestSteps:
 
     def test_gd_single_coordinate(self):
         # gradient at x=2 is 6, so x moves to 2 - 0.1 * 6 = 1.4
-        ens, y, gt = tiny_problem()
+        ens, y, x_star = tiny_problem()
         params = SolverParams(method=Method.GD, eta=0.1, max_iters=1)
-        trace = run(ens, y, np.array([2.0]), params, gt=gt)
+        trace = run(ens, y, np.array([2.0]), params, x_star)
         x1 = 2.0 - 0.1 * 6.0
         assert trace.dist[0] == 1.0
         assert trace.dist[1] == abs(x1 - 1.0)
         assert trace.cost[1] == (x1 * x1 - 1.0) ** 2 / 4.0
 
     def test_stationary_point(self, small_problem):
-        ens, gt, y, _ = small_problem
-        out = momentum_step(Method.GD, gt.x_star, gt.x_star, grad_of(ens, y), 0.1, 0.0)
-        assert np.array_equal(out, gt.x_star)
+        ens, x_star, y, _ = small_problem
+        out = momentum_step(Method.GD, x_star, x_star, grad_of(ens, y), 0.1, 0.0)
+        assert np.array_equal(out, x_star)
 
     def test_polyak_beta_zero_is_gd(self, small_problem):
         ens, _, y, x0 = small_problem
@@ -189,17 +189,17 @@ class TestSolverParamsValidation:
 
 class TestRun:
     def test_converges_immediately_at_truth(self, small_problem):
-        ens, gt, y, _ = small_problem
+        ens, x_star, y, _ = small_problem
         params = SolverParams(method=Method.GD, eta=0.01)
-        trace = run(ens, y, gt.x_star, params, gt=gt)
+        trace = run(ens, y, x_star, params, x_star)
         assert trace.status is Status.CONVERGED
         assert trace.n_steps == 0
 
     def test_golden_trace_gd_seed0(self):
         # frozen once from the recorded run at n=10, m=200, spectral init
-        ens, gt, y, x0 = make_problem(10, 200, 0)
+        ens, x_star, y, x0 = make_problem(10, 200, 0)
         params = default_params(10, float(np.linalg.norm(x0)), Method.GD)
-        trace = run(ens, y, x0, params, gt=gt)
+        trace = run(ens, y, x0, params, x_star)
         assert trace.status is Status.CONVERGED
         assert trace.n_steps == 577
         golden = {
@@ -214,20 +214,20 @@ class TestRun:
         assert (tail < 1.0).all()
 
     def test_polyak_fewer_iterations_than_gd(self):
-        ens, gt, y, x0 = make_problem(10, 200, 0)
+        ens, x_star, y, x0 = make_problem(10, 200, 0)
         norm0 = float(np.linalg.norm(x0))
         runs = {}
         for method in (Method.GD, Method.POLYAK):
             params = default_params(10, norm0, method)
-            runs[method] = run(ens, y, x0, params, gt=gt)
+            runs[method] = run(ens, y, x0, params, x_star)
         assert runs[Method.POLYAK].converged and runs[Method.GD].converged
         assert runs[Method.POLYAK].n_steps < runs[Method.GD].n_steps
 
     def test_mirrored_start_same_columns(self):
-        ens, gt, y, x0 = make_problem(12, 240, 3)
+        ens, x_star, y, x0 = make_problem(12, 240, 3)
         params = default_params(12, float(np.linalg.norm(x0)), Method.POLYAK)
-        plus = run(ens, y, x0, params, gt=gt)
-        minus = run(ens, y, -x0, params, gt=gt)
+        plus = run(ens, y, x0, params, x_star)
+        minus = run(ens, y, -x0, params, x_star)
         assert minus.sign == -plus.sign
         assert np.array_equal(plus.dist, minus.dist)
         assert np.array_equal(plus.cost, minus.cost)
@@ -237,26 +237,26 @@ class TestRun:
         # the start sets the sign to +1 and the first step overshoots past
         # 0, so the run converges to -x_star: the stopping rule still sees
         # it at the first step within tol, where dist reads about 2
-        ens, y, gt = tiny_problem()
+        ens, y, x_star = tiny_problem()
         eta, tol = 0.45, 1e-7
         x, steps = 2.0, 0
         while abs(x + 1.0) > tol:
             x, steps = x - eta * ((x * x - 1.0) * x), steps + 1
-        trace = run(ens, y, np.array([2.0]), SolverParams(Method.GD, eta, tol=tol), gt=gt)
+        trace = run(ens, y, np.array([2.0]), SolverParams(Method.GD, eta, tol=tol), x_star)
         assert trace.sign == 1.0 and trace.converged
         assert trace.n_steps == steps and trace.dist[-1] == pytest.approx(2.0)
 
     def test_divergence_status_not_exception(self):
-        ens, gt, y, x0 = make_problem(8, 160, 1)
+        ens, x_star, y, x0 = make_problem(8, 160, 1)
         params = SolverParams(method=Method.GD, eta=50.0, max_iters=200)
-        trace = run(ens, y, x0, params, gt=gt)
+        trace = run(ens, y, x0, params, x_star)
         assert trace.status is Status.DIVERGED
 
     def test_overflowing_step_diverges(self):
         # the first step overflows to -inf; the run stops after one row
-        ens, y, gt = tiny_problem()
+        ens, y, x_star = tiny_problem()
         params = SolverParams(method=Method.GD, eta=1e308)
-        trace = run(ens, y, np.array([2.0]), params, gt=gt)
+        trace = run(ens, y, np.array([2.0]), params, x_star)
         assert trace.status is Status.DIVERGED
         assert trace.iters.shape[0] == 1
 
@@ -264,34 +264,34 @@ class TestRun:
         # the first step's entries are finite near 1e301, so it is recorded
         # (inf dist, finite incoherence) although x_new @ x_new overflows;
         # the run then stops on that iterate's infinite cost
-        ens, gt, y, x0 = make_problem(10, 60, 0)
-        trace = run(ens, y, x0, SolverParams(method=Method.GD, eta=1e300), gt=gt)
+        ens, x_star, y, x0 = make_problem(10, 60, 0)
+        trace = run(ens, y, x0, SolverParams(method=Method.GD, eta=1e300), x_star)
         assert trace.status is Status.DIVERGED
         assert trace.iters.shape[0] == 2
         assert trace.dist[1] == math.inf
         assert math.isfinite(trace.max_incoherence[1])
 
     def test_max_iters_status(self):
-        ens, gt, y, x0 = make_problem(8, 160, 1)
+        ens, x_star, y, x0 = make_problem(8, 160, 1)
         params = SolverParams(method=Method.GD, eta=1e-6, max_iters=5)
-        trace = run(ens, y, x0, params, gt=gt)
+        trace = run(ens, y, x0, params, x_star)
         assert trace.status is Status.MAX_ITERS
         assert trace.iters.shape[0] == 6
 
     def test_cold_start_first_step_matches_gd_step(self, small_problem):
-        ens, gt, y, x0 = small_problem
+        ens, x_star, y, x0 = small_problem
         eta = 0.01
         expected = momentum_step(Method.GD, x0, x0, grad_of(ens, y), eta, 0.0)
         for method, beta in ((Method.GD, 0.0), (Method.POLYAK, 0.6), (Method.NESTEROV, 0.6)):
             params = SolverParams(method=method, eta=eta, beta=beta, max_iters=1)
-            trace = run(ens, y, x0, params, gt=gt)
-            assert trace.dist[1] == np.linalg.norm(expected - trace.sign * gt.x_star)
+            trace = run(ens, y, x0, params, x_star)
+            assert trace.dist[1] == np.linalg.norm(expected - trace.sign * x_star)
             assert trace.cost[1] == cost(ens, y, expected)
 
     def test_paired_norm_and_ratio_columns(self):
-        ens, gt, y, x0 = make_problem(10, 200, 0)
+        ens, x_star, y, x0 = make_problem(10, 200, 0)
         params = default_params(10, float(np.linalg.norm(x0)), Method.POLYAK)
-        trace = run(ens, y, x0, params, gt=gt)
+        trace = run(ens, y, x0, params, x_star)
         assert trace.paired_norm[0] == pytest.approx(math.sqrt(2) * trace.dist[0])
         assert math.isnan(trace.contraction_ratio[0])
         assert trace.contraction_ratio[5] == pytest.approx(
@@ -312,9 +312,9 @@ class TestRateChecks:
         self.eta = 0.05 / math.log(self.n)
 
     def _trace(self, seed, method):
-        ens, gt, y, x0 = make_problem(self.n, self.m, seed)
+        ens, x_star, y, x0 = make_problem(self.n, self.m, seed)
         params = default_params(self.n, float(np.linalg.norm(x0)), method)
-        trace = run(ens, y, x0, params, gt=gt)
+        trace = run(ens, y, x0, params, x_star)
         assert trace.converged
         return trace
 

@@ -19,12 +19,12 @@ def population_matvec(x_star):
 
 class TestLeadingEigenpair:
     def test_population_operator(self):
-        gt = random_ground_truth(5, 3)
+        x_star = random_ground_truth(5, 3)
         v0 = rng.normals(3, _POWER_STREAM, 5)
-        res = leading_eigenpair(population_matvec(gt.x_star), v0, tol=1e-10)
+        res = leading_eigenpair(population_matvec(x_star), v0, tol=1e-10)
         assert res.lambda1 == pytest.approx(3.0, abs=1e-9)
         x0 = math.sqrt(res.lambda1 / 3.0) * res.x0
-        assert dist(x0, gt.x_star) <= 1e-8
+        assert dist(x0, x_star) <= 1e-8
 
     def test_nonconvergence_carries_residual(self):
         # two-cycle operator never settles
@@ -48,9 +48,9 @@ class TestSpectralInit:
         # seeds 0..19 is 0.2514; frozen bound adds headroom
         worst = 0.0
         for seed in range(20):
-            ens, gt, y, _ = make_problem(50, 5000, seed)
+            ens, x_star, y, _ = make_problem(50, 5000, seed)
             rep = spectral_init(ens, y)
-            worst = max(worst, dist(rep.x0, gt.x_star))
+            worst = max(worst, dist(rep.x0, x_star))
         assert worst <= 0.3
 
     def test_scaling_homogeneity(self):
@@ -84,5 +84,5 @@ class TestRandomInit:
         assert not np.array_equal(random_init(5, 2), random_init(5, 3))
 
     def test_independent_of_ground_truth_stream(self):
-        gt = random_ground_truth(16, 4)
-        assert dist(random_init(16, 4), gt.x_star) > 0.1
+        x_star = random_ground_truth(16, 4)
+        assert dist(random_init(16, 4), x_star) > 0.1
