@@ -40,8 +40,12 @@ case_ sweep_odd sweep --n_list 7,33 --m_list 100,500 --seed_list 0
 # the n=100 cell's power iteration fails (exit 2) after the n=10 cell's traces
 # are written, and no summary.csv follows
 case_ sweep_init_fail sweep --n_list 10,100 --m_list 100 --seed_list 0
+# a repeated size (exit 2, no output)
+case_ sweep_repeated_n sweep --n_list 10,10 --m_list 60,60 --seed_list 0 --methods gd
 case_ run_gd run --n_list 10 --m_list 200 --seed_list 0 --methods gd
 case_ run_random run --n_list 50 --m_list 500 --seed_list 3 --methods nesterov --init random
+# run reads one seed, so a second is refused (exit 2, no output)
+case_ run_two_seeds run --n_list 10 --m_list 200 --seed_list 0,1 --methods gd
 # a 128 PiB ensemble, larger than any 64-bit address space: the allocation fails
 # at once, touching no page (exit 2)
 case_ run_alloc_fail run --n_list 1099511627776 --m_list 16384

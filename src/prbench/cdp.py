@@ -165,9 +165,7 @@ def cdp_run(
     method = Method(method)
     z_star, masks, y, z0 = problem.z_star, problem.masks, problem.y, problem.init.x0
     params = override_params(
-        default_params(z_star.size, math.sqrt(problem.init.lambda1 / 3.0), method), eta, beta,
-        max_iters=iters,
-    )
+        default_params(z_star.size, math.sqrt(problem.init.lambda1 / 3.0), method), eta, beta)
     grad_fn = lambda z: cdp_gradient(z, y, masks)
 
     rel_err = [phase_aligned_rel_err(z0, z_star)]

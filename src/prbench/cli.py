@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 
-from .harness import COMMANDS, make_config, parse_config
+from .harness import COMMANDS, FIRST_VALUE_KEYS, make_config, parse_config
 
 USAGE = f"usage: prbench {{{','.join(COMMANDS)}}} [--config PATH] [--key value ...]"
 
@@ -41,7 +41,13 @@ def main(argv=None) -> int:
         if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
                 values = {**parse_config(fh.read()), **values}
-        return COMMANDS[argv[0]](make_config(values))
+        cfg = make_config(values)
+        # only here are the user's keys told apart from the defaults
+        for key in FIRST_VALUE_KEYS.get(argv[0], ()):
+            if key in values and len(getattr(cfg, key)) > 1:
+                got = ",".join(map(str, getattr(cfg, key)))
+                raise ValueError(f"{key}: {argv[0]} reads one value, got {got}")
+        return COMMANDS[argv[0]](cfg)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"prbench: {exc}", file=sys.stderr)
         return 2

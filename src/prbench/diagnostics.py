@@ -44,9 +44,7 @@ def _iterates(rows, y, x0, params: SolverParams, steps: int, m: int) -> np.ndarr
     x_prev = x_curr = x0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, steps + 1):
-            x_new = momentum_step(
-                params.method, x_curr, x_prev, grad_fn, params.eta, params.beta
-            )
+            x_new = momentum_step(params.method, x_curr, x_prev, grad_fn, params.eta, params.beta)
             x_prev, x_curr = x_curr, x_new
             out[t] = x_curr
     return out

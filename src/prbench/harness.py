@@ -72,26 +72,20 @@ class ExperimentConfig:
     cdp_size: int = 64
 
 
-_LIST_FIELDS = {"n_list", "m_list", "seed_list", "methods"}
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _parse_value(name: str, text: str):
+    """`text` as the type of field `name`: tuples split on commas, and an
+    optional float is unset when empty."""
     text = text.strip()
-    if name in _LIST_FIELDS:
-        items = [t.strip() for t in text.split(",") if t.strip()]
-        if name == "methods":
-            return tuple(items)
-        return tuple(int(t) for t in items)
     target = _FIELD_TYPES[name]
-    if target is float:
-        return float(text)
-    if target is int:
-        return int(text)
-    if target is str:
-        return text
-    # optional floats (eta, beta): empty means unset
-    return None if text == "" else float(text)
+    if typing.get_origin(target) is tuple:
+        item = typing.get_args(target)[0]
+        return tuple(item(t.strip()) for t in text.split(",") if t.strip())
+    if target == float | None:
+        return None if text == "" else float(text)
+    return target(text)
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -156,11 +150,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # a tol at or above the floor leaves the slope fit window empty
     if not cfg.tol < FIT_FLOOR:
         raise ValueError(f"tol must be below the slope fit floor {FIT_FLOOR}, got {cfg.tol}")
-    # a repeated seed would be run, written and counted twice
-    for name in ("methods", "seed_list"):
-        values = getattr(cfg, name)
-        if len(set(values)) < len(values):
-            raise ValueError(f"{name} must be distinct, got {','.join(map(str, values))}")
+    # a repeated size or seed would be run, written and counted twice
+    for name in ("n_list", "methods", "seed_list"):
+        _check_distinct(name, getattr(cfg, name))
+
+
+def _check_distinct(name: str, values) -> None:
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must be distinct, got {','.join(map(str, values))}")
 
 
 def theory_m(n: int) -> int:
@@ -236,33 +233,26 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _slope_window(trace_a, trace_b, tol: float):
-    """Pairs (log dist_a(t), log dist_b(t)) over t where both are in [tol, FIT_FLOOR]."""
-    t_max = min(trace_a.dist.shape[0], trace_b.dist.shape[0])
-    da, db = trace_a.dist[:t_max], trace_b.dist[:t_max]
-    keep = (da >= tol) & (da <= FIT_FLOOR) & (db >= tol) & (db <= FIT_FLOOR)
-    return np.flatnonzero(keep), np.log(da[keep]), np.log(db[keep])
-
-
-def _paired_slope(log_a, log_b) -> float:
-    if log_a.shape[0] < 2:
-        return math.nan
-    return float(np.polyfit(log_a, log_b, 1)[0])
-
-
 def headtohead_slope(cfg: ExperimentConfig, n: int, m: int, seed: int):
     """Run methods a and b from the same start; returns (rows, slope, statuses).
 
     Both arms use the rate-analysis defaults under the eta and beta
-    overrides of `solvers.override_params`.
+    overrides of `solvers.override_params`.  The rows are the pairs
+    (log dist_a(t), log dist_b(t)) over the t where both distances lie in
+    [tol, FIT_FLOOR], and the slope is their least-squares fit (nan for
+    fewer than two pairs).
     """
     trace_a, trace_b = _traces(cfg, n, m, seed, (cfg.method_a, cfg.method_b), theory_params)
     statuses = (trace_a.status, trace_b.status)
     if not (trace_a.converged and trace_b.converged):
         return [], math.nan, statuses
-    idx, log_a, log_b = _slope_window(trace_a, trace_b, cfg.tol)
-    rows = [(seed, int(t), la, lb) for t, la, lb in zip(idx, log_a, log_b)]
-    return rows, _paired_slope(log_a, log_b), statuses
+    t_max = min(trace_a.dist.shape[0], trace_b.dist.shape[0])
+    da, db = trace_a.dist[:t_max], trace_b.dist[:t_max]
+    keep = (da >= cfg.tol) & (da <= FIT_FLOOR) & (db >= cfg.tol) & (db <= FIT_FLOOR)
+    log_a, log_b = np.log(da[keep]), np.log(db[keep])
+    rows = [(seed, int(t), la, lb) for t, la, lb in zip(np.flatnonzero(keep), log_a, log_b)]
+    slope = float(np.polyfit(log_a, log_b, 1)[0]) if len(rows) >= 2 else math.nan
+    return rows, slope, statuses
 
 
 def cmd_headtohead(cfg: ExperimentConfig) -> int:
@@ -288,6 +278,9 @@ def cmd_headtohead(cfg: ExperimentConfig) -> int:
 def cmd_slopes(cfg: ExperimentConfig) -> int:
     if len(cfg.n_list) < 3:
         raise ValueError("slope experiments need at least three n values")
+    if len(cfg.m_list) > len(cfg.n_list):
+        raise ValueError(f"m_list: slopes reads one m per n, got {len(cfg.m_list)} m "
+                         f"for {len(cfg.n_list)} n")
     rows = []
     for idx, n in enumerate(cfg.n_list):
         m = _sample_count(cfg, n, idx)
@@ -327,6 +320,8 @@ def sweep_cell(cfg: ExperimentConfig, n: int, m: int, out_dir=None):
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
+    # `slopes` may give several n the same m, a sweep's grid may not
+    _check_distinct("m_list", cfg.m_list)
     os.makedirs(cfg.out, exist_ok=True)
     rows = []
     for n in cfg.n_list:
@@ -437,4 +432,14 @@ COMMANDS = {
     "oracle": cmd_oracle,
     "cdp": cmd_cdp,
     "concentration": cmd_concentration,
+}
+
+# the list keys of which a command reads only the first value: `cli.main`
+# refuses a file or flag that gives such a key more
+FIRST_VALUE_KEYS = {
+    "run": ("n_list", "m_list", "seed_list", "methods"),
+    "loo": ("n_list", "m_list", "seed_list", "methods"),
+    "headtohead": ("n_list", "m_list"),
+    "concentration": ("n_list", "m_list"),
+    "cdp": ("seed_list",),
 }

@@ -105,17 +105,13 @@ def momentum_step(
     grad_fn: Callable[[np.ndarray], np.ndarray],
     eta: float,
     beta: float,
-    grad_at_curr: np.ndarray | None = None,
 ):
-    """One update of the chosen method; `grad_at_curr` avoids a recompute
-    for the methods that evaluate the gradient at the current iterate."""
+    """One update of the chosen method."""
     if method is Method.GD:
-        g = grad_fn(x_curr) if grad_at_curr is None else grad_at_curr
-        return x_curr - eta * g
+        return x_curr - eta * grad_fn(x_curr)
     mom = beta * (x_curr - x_prev)
     if method is Method.POLYAK:
-        g = grad_fn(x_curr) if grad_at_curr is None else grad_at_curr
-        return x_curr - eta * g + mom
+        return x_curr - eta * grad_fn(x_curr) + mom
     return x_curr - eta * grad_fn(x_curr + mom) + mom
 
 
@@ -188,6 +184,10 @@ def run(
     """
     rows, m = ens.rows, ens.m
     grad_fn = lambda x: gradient_kernel(rows, y, x, m)
+    # GD and heavy ball take the gradient at the current iterate, which the
+    # trace has just computed; Nesterov's is at its look-ahead point
+    if params.method is Method.GD or params.method is Method.POLYAK:
+        grad_fn = lambda x: grad_value
 
     sign = align_sign(x0, x_star)
     target = sign * x_star
@@ -241,10 +241,7 @@ def run(
                 break
             if t >= params.max_iters:
                 break
-            x_new = momentum_step(
-                params.method, x_curr, x_prev, grad_fn,
-                params.eta, params.beta, grad_at_curr=grad_value,
-            )
+            x_new = momentum_step(params.method, x_curr, x_prev, grad_fn, params.eta, params.beta)
             # a finite x_new @ x_new means finite entries; an overflowing one
             # can still come from finite entries, so then the entries decide
             if not math.isfinite(x_new.dot(x_new)) and not np.all(np.isfinite(x_new)):
@@ -267,7 +264,7 @@ def run(
         grad_norm=np.asarray(grad_norm, dtype=float),
         max_incoherence=max_inc,
         loc_ok=dist <= loc_radius(x_star),
-        inc_ok=max_inc <= (inc_bound(ens.n, x_star) if ens.n >= 2 else np.inf),
+        inc_ok=max_inc <= inc_bound(ens.n, x_star),
         paired_norm=paired,
         contraction_ratio=ratio,
         status=status,

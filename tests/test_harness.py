@@ -641,6 +641,41 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, key", [
+        # a repeated size: the same cell or slope row run and written twice
+        (["sweep", "--n_list", "10,10", "--m_list", "60,60", "--methods", "gd"], "n_list"),
+        (["sweep", "--n_list", "10", "--m_list", "60,60", "--methods", "gd"], "m_list"),
+        (["slopes", "--n_list", "16,16,16"], "n_list"),
+        # more values than the command reads, from a flag or the file
+        (["run", "--n_list", "10,20", "--m_list", "200"], "n_list"),
+        (["run", "--n_list", "10", "--m_list", "200,300"], "m_list"),
+        (["run", "--n_list", "10", "--m_list", "200", "--seed_list", "0,1"], "seed_list"),
+        (["run", "--n_list", "10", "--m_list", "200", "--methods", "gd,polyak"], "methods"),
+        (["run", "--config", "two_seeds.cfg", "--n_list", "10", "--m_list", "200"],
+         "seed_list"),
+        (["loo", "--n_list", "16", "--m_list", "32", "--seed_list", "0,1"], "seed_list"),
+        (["loo", "--n_list", "16", "--m_list", "32", "--methods", "gd,polyak"], "methods"),
+        (["headtohead", "--n_list", "16,32", "--seed_list", "0"], "n_list"),
+        (["headtohead", "--n_list", "16", "--m_list", "400,500", "--seed_list", "0"],
+         "m_list"),
+        (["concentration", "--n_list", "10,20", "--m_list", "100"], "n_list"),
+        (["concentration", "--n_list", "10", "--m_list", "100,200"], "m_list"),
+        (["cdp", "--seed_list", "0,1", "--cdp_size", "8", "--mask_count", "2",
+          "--cdp_iters", "2"], "seed_list"),
+        (["slopes", "--n_list", "8,12,16", "--m_list", "100,100,100,100"], "m_list"),
+    ])
+    def test_repeated_or_unread_value_exits_two(self, tmp_path, monkeypatch, capsys, argv,
+                                                key):
+        # refused, naming the key, before any output exists
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "two_seeds.cfg").write_text("seed_list=0,1\n")
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"prbench: {key}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
         (["--n_list", "1e3"], "n_list"),
         (["--max_iters", "1.5"], "max_iters"),
         (["--tol", "abc"], "tol"),
