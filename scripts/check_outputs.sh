@@ -52,6 +52,11 @@ case_ run_alloc_fail run --n_list 1099511627776 --m_list 16384
 case_ headtohead headtohead --n_list 64 --seed_list 0,1,2
 # the bench's shape, n=256 and m=14196, whose ensemble spans many sampling chunks
 case_ headtohead_bench headtohead --n_list 256 --seed_list 0
+# ensembles above objective.SPLIT_MIN_VALUES, whose products split over two
+# threads: Nesterov's gradients (6211 x 128), and an odd m whose second half is
+# not a multiple of 16 rows
+case_ run_nesterov_split run --n_list 128 --seed_list 0 --methods nesterov
+case_ run_odd_m_split run --n_list 200 --m_list 4099 --seed_list 0 --methods polyak
 case_ slopes slopes --n_list 16,32,64 --seed_list 0,1
 case_ oracle oracle
 case_ concentration concentration --n_list 100 --m_list 1000 --seed_list 0,1,2

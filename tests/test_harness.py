@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from prbench import cdp, cli, harness
+from prbench import cdp, cli, harness, objective
 from prbench.harness import (
     ExperimentConfig,
     headtohead_slope,
@@ -188,6 +188,29 @@ class TestHeadToHead:
         assert data_1.shape == data_2.shape
         assert np.array_equal(data_1[:, :2], data_2[:, :2])  # seed and iter
         np.testing.assert_allclose(data_2[:, 2:], data_1[:, 2:], rtol=rtol, atol=0)
+
+    def test_split_products_keep_the_bytes(self, tmp_path):
+        # at one BLAS thread, `objective.project`'s two-thread products give
+        # the bits of one call: the output equals that of a run whose floor
+        # is out of reach, so that every product is serial
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys; from prbench import cli, objective; "
+                "objective.SPLIT_MIN_VALUES = int(sys.argv[1]); "
+                "sys.exit(cli.main(sys.argv[2:]))")
+        outputs = []
+        for floor in (objective.SPLIT_MIN_VALUES, 2**62):
+            out = tmp_path / f"h{floor}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(floor), "headtohead", "--n_list", "128",
+                 "--seed_list", "0", "--out", str(out)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path),
+                capture_output=True, text=True, check=False,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert theory_m(128) * 128 >= objective.SPLIT_MIN_VALUES
+        assert outputs[0] == outputs[1]
 
 
 class TestSlopes:

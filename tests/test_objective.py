@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prbench import objective
 from prbench.model import SensingEnsemble, sample_ensemble, sample_unit_sphere
+from prbench.objective import SPLIT_MIN_VALUES, project
 
 from conftest import make_problem
 from reference import cost, gradient, hessian, hessian_extremes
@@ -125,3 +133,101 @@ def test_extremes_match_dense(small_problem):
     eigs = np.linalg.eigvalsh(hessian(ens, y, x0))
     assert lmin == pytest.approx(eigs[0], rel=1e-10)
     assert lmax == pytest.approx(eigs[-1], rel=1e-10)
+
+
+def run_at_one_blas_thread(code):
+    """Run `code` in a fresh interpreter at one OpenBLAS thread, where a
+    product's bits do not depend on the machine; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(objective.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path), check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestProject:
+    # (m, n) around the floor: one row below it (serial), at it, an odd m
+    # whose second half (2049 rows) is not a multiple of 16, an odd n, and
+    # the bench's n=256 ensemble
+    SHAPES = [(4095, 128), (4096, 128), (4097, 128), (4099, 200), (2041, 257),
+              (14196, 256)]
+
+    def test_bits_equal_one_call(self):
+        code = f"""
+import numpy as np
+from prbench.objective import SPLIT_MIN_VALUES, project
+rng = np.random.default_rng(7)
+for m, n in {self.SHAPES}:
+    rows, x = rng.standard_normal((m, n)), rng.standard_normal(n)
+    out = np.empty(m)
+    assert project(rows, x, out) is out
+    print(m, n, m * n >= SPLIT_MIN_VALUES,
+          np.array_equal(project(rows, x), rows.dot(x)),
+          np.array_equal(out, rows.dot(x)))
+"""
+        lines = run_at_one_blas_thread(code).splitlines()
+        split = [m * n >= SPLIT_MIN_VALUES for m, n in self.SHAPES]
+        assert lines == [f"{m} {n} {s} True True" for (m, n), s in zip(self.SHAPES, split)]
+        assert split == [False] + [True] * 5
+
+    def test_error_reaches_caller_and_worker_survives(self):
+        code = """
+import threading
+import numpy as np
+from prbench.objective import project
+rng = np.random.default_rng(3)
+rows, x = rng.standard_normal((4097, 128)), rng.standard_normal(128)
+project(rows, x)
+worker = [t for t in threading.enumerate() if t.name == "prbench-project"]
+for bad in (np.ones(127), np.ones(129)):
+    try:
+        project(rows, bad)
+    except ValueError:
+        print("ValueError")
+try:
+    project(rows, x, np.empty(4096))
+except ValueError:
+    print("ValueError")
+again = [t for t in threading.enumerate() if t.name == "prbench-project"]
+print(len(worker) == 1 and again == worker, np.array_equal(project(rows, x), rows.dot(x)))
+"""
+        # a hang would end in subprocess.TimeoutExpired
+        assert run_at_one_blas_thread(code).split() == ["ValueError"] * 3 + ["True", "True"]
+
+    def test_concurrent_callers(self):
+        # four threads on two cores, switching every microsecond: one caller
+        # at a time splits, the others compute serially, and every product
+        # keeps its own bits
+        code = """
+import sys, threading
+import numpy as np
+from prbench.objective import project
+rng = np.random.default_rng(5)
+problems = [(rng.standard_normal((4097, 128)), rng.standard_normal(128)) for _ in range(4)]
+wrong = []
+
+def call(rows, x):
+    want = rows.dot(x)
+    wrong.extend(k for k in range(40) if not np.array_equal(project(rows, x), want))
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=call, args=p) for p in problems]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(sum(t.is_alive() for t in threads), len(wrong))
+"""
+        assert run_at_one_blas_thread(code).split() == ["0", "0"]
+
+    def test_worker_keeps_no_array(self):
+        rows, x = np.ones((SPLIT_MIN_VALUES // 128, 128)), np.ones(128)
+        refs = weakref.ref(rows), weakref.ref(x)
+        p = project(rows, x)
+        assert any(t.name == "prbench-project" for t in threading.enumerate())
+        assert np.array_equal(p, np.full(len(rows), 128.0))
+        del rows, x
+        assert [ref() is None for ref in refs] == [True, True]

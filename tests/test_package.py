@@ -95,10 +95,13 @@ def test_every_config_key_is_read():
 
 def test_cli_imports_no_scipy():
     # scipy is a test dependency only: it doubles the start-up time of
-    # every CLI call; and hashlib would load OpenSSL's libcrypto (3.5 MiB)
-    # only for BLAKE2, which `_blake2` provides
+    # every CLI call; hashlib would load OpenSSL's libcrypto (3.5 MiB)
+    # only for BLAKE2, which `_blake2` provides; and `objective.project`'s
+    # worker needs only `threading`, which numpy loads, not the thread pool
+    # of `concurrent.futures` and its `queue`
     code = ("import sys, prbench.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith('scipy') or m in ('hashlib', '_hashlib')))")
+            " if m.startswith('scipy') or m in ('hashlib', '_hashlib',"
+            " 'concurrent.futures', 'queue')))")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
