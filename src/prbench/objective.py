@@ -9,6 +9,8 @@ at the full m while it drops one row.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import threading
 
 import numpy as np
@@ -18,6 +20,28 @@ import numpy as np
 SPLIT_MIN_VALUES = 2**19
 
 
+def _core_to_spare() -> bool:
+    """Whether a second thread finds a core of its own: OpenBLAS runs one
+    thread and the process may use two cores or more.  At more BLAS threads
+    both parts would run OpenBLAS's threaded kernel at once, which made a
+    product near the floor up to 3.6 times as slow as one call."""
+    try:
+        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        cores = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return False
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        threads = getattr(blas, name, None)
+        if threads is not None:
+            return threads() == 1 and cores >= 2
+    return False
+
+
+# read once: OpenBLAS fixes its thread count when numpy loads it
+_SPLIT = _core_to_spare()
+
+
 class _Worker:
     """A daemon thread that computes one part of a product while the caller
     computes the rest.  It holds no array between products."""
@@ -25,11 +49,11 @@ class _Worker:
     def __init__(self):
         self.task = None  # (rows, x, out) while a product runs
         self.failed = False
+        self.waiting = False  # stays True if an interrupt cut the caller's wait
         self.go, self.done = threading.Lock(), threading.Lock()
         self.go.acquire()
         self.done.acquire()
-        self.thread = threading.Thread(target=self._serve, name="prbench-project", daemon=True)
-        self.thread.start()
+        threading.Thread(target=self._serve, name="prbench-project", daemon=True).start()
 
     def _serve(self):
         while True:
@@ -50,11 +74,13 @@ class _Worker:
         on the worker, and the rest on the calling thread."""
         half = len(rows) // 2 & -16
         self.task = rows[:half], x, out[:half]
+        self.waiting = True
         self.go.release()
         try:
             rows[half:].dot(x, out=out[half:])
         finally:
             self.done.acquire()
+            self.waiting = False
         if self.failed:
             rows[:half].dot(x, out=out[:half])
 
@@ -67,22 +93,24 @@ _busy = threading.Lock()
 def project(rows, x, out=None) -> np.ndarray:
     """`rows.dot(x, out=out)`, bit for bit at one BLAS thread.
 
-    From SPLIT_MIN_VALUES values of `rows` on, a worker thread computes the
-    rows before a multiple of 16 near m/2 while the caller computes the
-    rest.  Each output is still one dot product over n, and the split keeps
+    From SPLIT_MIN_VALUES values of `rows` on, when OpenBLAS runs one
+    thread and a second core is free, a worker thread computes the rows
+    before a multiple of 16 near m/2 while the caller computes the rest.
+    At more BLAS threads every product is one call.  Each output is still one dot product over n, and the split keeps
     every row in the BLAS kernel's block it has in the whole product, so
     the bits are those of one call.  numpy's BLAS call releases the GIL, so
     the parts run on two cores.  An error in either part reaches the
     caller as numpy's own, after the worker has finished.
     """
     global _worker
-    if rows.size < SPLIT_MIN_VALUES or not _busy.acquire(blocking=False):
+    if not _SPLIT or rows.size < SPLIT_MIN_VALUES or not _busy.acquire(blocking=False):
         return rows.dot(x, out=out)
     try:
         if out is None:
             out = np.empty(len(rows), np.result_type(rows, x))
-        # a forked child inherits the worker object but not its thread
-        if _worker is None or not _worker.thread.is_alive():
+        # after an interrupted wait the old worker may still be writing and
+        # will release `done` late: leave it and start a fresh one
+        if _worker is None or _worker.waiting:
             _worker = _Worker()
         _worker.product(rows, x, out)
         return out

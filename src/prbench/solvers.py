@@ -12,13 +12,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .model import SensingEnsemble, align_sign
-from .objective import SPLIT_MIN_VALUES, gradient_kernel, project
+from .objective import gradient_kernel, project
 from .ric import inc_bound, loc_radius
 
 
@@ -184,9 +183,6 @@ def run(
     non-finite iterate); divergence is a status, never an exception.
     """
     rows, m = ens.rows, ens.m
-    # the trace's projection: `project` splits a large one over two threads,
-    # and a small one keeps the plain call, chosen once here
-    project_rows = rows.dot if rows.size < SPLIT_MIN_VALUES else partial(project, rows)
     grad_fn = lambda x: gradient_kernel(rows, y, x, m)
     # GD and heavy ball take the gradient at the current iterate, which the
     # trace has just computed; Nesterov's is at its look-ahead point
@@ -223,7 +219,7 @@ def run(
             # the residual
             proj = block[k]
             k += 1
-            project_rows(x_curr, out=proj)
+            project(rows, x_curr, out=proj)
             np.multiply(proj, proj, out=resid)
             resid -= y
             cost_value = float(resid.dot(resid)) / (4.0 * m)

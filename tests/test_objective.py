@@ -135,14 +135,16 @@ def test_extremes_match_dense(small_problem):
     assert lmax == pytest.approx(eigs[-1], rel=1e-10)
 
 
-def run_at_one_blas_thread(code):
-    """Run `code` in a fresh interpreter at one OpenBLAS thread, where a
-    product's bits do not depend on the machine; returns its stdout."""
+def run_python(code, blas_threads=1):
+    """Run `code` in a fresh interpreter at `blas_threads` OpenBLAS threads;
+    at one, a product's bits do not depend on the machine.  Returns its
+    stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(objective.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path), check=False,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=path),
+        check=False,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -157,8 +159,11 @@ class TestProject:
 
     def test_bits_equal_one_call(self):
         code = f"""
+import os
 import numpy as np
+from prbench import objective
 from prbench.objective import SPLIT_MIN_VALUES, project
+print(objective._SPLIT == (len(os.sched_getaffinity(0)) >= 2))
 rng = np.random.default_rng(7)
 for m, n in {self.SHAPES}:
     rows, x = rng.standard_normal((m, n)), rng.standard_normal(n)
@@ -168,16 +173,19 @@ for m, n in {self.SHAPES}:
           np.array_equal(project(rows, x), rows.dot(x)),
           np.array_equal(out, rows.dot(x)))
 """
-        lines = run_at_one_blas_thread(code).splitlines()
+        lines = run_python(code).splitlines()
         split = [m * n >= SPLIT_MIN_VALUES for m, n in self.SHAPES]
-        assert lines == [f"{m} {n} {s} True True" for (m, n), s in zip(self.SHAPES, split)]
+        assert lines[0] == "True"
+        assert lines[1:] == [f"{m} {n} {s} True True" for (m, n), s in zip(self.SHAPES, split)]
         assert split == [False] + [True] * 5
 
     def test_error_reaches_caller_and_worker_survives(self):
         code = """
 import threading
 import numpy as np
+from prbench import objective
 from prbench.objective import project
+objective._SPLIT = True  # the worker as on a machine with a core to spare
 rng = np.random.default_rng(3)
 rows, x = rng.standard_normal((4097, 128)), rng.standard_normal(128)
 project(rows, x)
@@ -195,7 +203,7 @@ again = [t for t in threading.enumerate() if t.name == "prbench-project"]
 print(len(worker) == 1 and again == worker, np.array_equal(project(rows, x), rows.dot(x)))
 """
         # a hang would end in subprocess.TimeoutExpired
-        assert run_at_one_blas_thread(code).split() == ["ValueError"] * 3 + ["True", "True"]
+        assert run_python(code).split() == ["ValueError"] * 3 + ["True", "True"]
 
     def test_concurrent_callers(self):
         # four threads on two cores, switching every microsecond: one caller
@@ -204,7 +212,9 @@ print(len(worker) == 1 and again == worker, np.array_equal(project(rows, x), row
         code = """
 import sys, threading
 import numpy as np
+from prbench import objective
 from prbench.objective import project
+objective._SPLIT = True
 rng = np.random.default_rng(5)
 problems = [(rng.standard_normal((4097, 128)), rng.standard_normal(128)) for _ in range(4)]
 wrong = []
@@ -221,9 +231,59 @@ for t in threads:
     t.join(60)
 print(sum(t.is_alive() for t in threads), len(wrong))
 """
-        assert run_at_one_blas_thread(code).split() == ["0", "0"]
+        assert run_python(code).split() == ["0", "0"]
 
-    def test_worker_keeps_no_array(self):
+    def test_no_split_at_more_blas_threads(self):
+        # both parts would run OpenBLAS's threaded kernel at once
+        code = """
+import threading
+import numpy as np
+from prbench import objective
+rows, x = np.ones((4097, 128)), np.ones(128)
+objective.project(rows, x)
+print(objective._SPLIT, any(t.name == "prbench-project" for t in threading.enumerate()))
+"""
+        assert run_python(code, blas_threads=2).split() == ["False", "False"]
+
+    def test_interrupted_wait_starts_a_fresh_worker(self):
+        # an interrupt that cuts the caller's wait leaves the worker to
+        # release `done` late; a later product must not take that release
+        # for its own, so it gets a fresh worker and the bits of one call
+        code = """
+import numpy as np
+from prbench import objective
+from prbench.objective import project
+objective._SPLIT = True
+rng = np.random.default_rng(11)
+rows, x = rng.standard_normal((8191, 128)), rng.standard_normal(128)
+project(rows, x)
+old = objective._worker
+
+class CutWait:
+    def __init__(self, lock):
+        self.lock, self.cut = lock, False
+
+    def acquire(self):
+        if not self.cut:
+            self.cut = True
+            raise KeyboardInterrupt
+        return self.lock.acquire()
+
+    def release(self):
+        self.lock.release()
+
+old.done = CutWait(old.done)
+try:
+    project(rows, x)
+except KeyboardInterrupt:
+    print("interrupted")
+print(all(np.array_equal(project(rows, x), rows.dot(x)) for _ in range(20)),
+      objective._worker is not old)
+"""
+        assert run_python(code).split() == ["interrupted", "True", "True"]
+
+    def test_worker_keeps_no_array(self, monkeypatch):
+        monkeypatch.setattr(objective, "_SPLIT", True)
         rows, x = np.ones((SPLIT_MIN_VALUES // 128, 128)), np.ones(128)
         refs = weakref.ref(rows), weakref.ref(x)
         p = project(rows, x)
