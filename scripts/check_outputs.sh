@@ -3,14 +3,30 @@
 # per call, its output files, stdout, stderr and exit code under OUT/<case>/.
 #
 #   scripts/check_outputs.sh SRC OUT
+#   scripts/check_outputs.sh --digests OUT
 #
 # Each call runs in its own case directory with relative paths and one BLAS
 # thread, so two OUT directories, say one from a parent checkout and one from
-# a change, compare with `diff -r`.  Takes about 50 s on two cores.
+# a change, compare with `diff -r`.  Takes about 60 s on two cores.
+#
+# --digests runs this script's own checkout into OUT, writes the SHA-256 of
+# every file under OUT to OUT/check_outputs.sha256, and diffs that against
+# scripts/check_outputs.sha256.  The committed file's first lines name the
+# environment its digests hold for: numpy, the OpenBLAS build, the core its
+# kernels were chosen for, and the BLAS thread count.  It exits 0 when every
+# digest matches and 1 when one differs.  Another environment may give other
+# last digits, so there it reports the mismatch, compares no digest and exits
+# 0.  A change that means to alter outputs copies OUT/check_outputs.sha256
+# over the committed file, whose diff then names the outputs that moved.
 set -euo pipefail
 
-if [ "$#" -ne 2 ]; then
-    echo "usage: $0 SRC OUT" >&2
+digests=""
+if [ "$#" -eq 2 ] && [ "$1" = "--digests" ]; then
+    digests="$(cd "$(dirname "$0")" && pwd)/check_outputs.sha256"
+    set -- "$(dirname "$digests")/.." "$2"
+fi
+if [ "$#" -ne 2 ] || [ "${1#-}" != "$1" ]; then
+    echo "usage: $0 SRC OUT | $0 --digests OUT" >&2
     exit 2
 fi
 src=$(cd "$1" && pwd)
@@ -57,6 +73,11 @@ case_ headtohead_bench headtohead --n_list 256 --seed_list 0
 # not a multiple of 16 rows
 case_ run_nesterov_split run --n_list 128 --seed_list 0 --methods nesterov
 case_ run_odd_m_split run --n_list 200 --m_list 4099 --seed_list 0 --methods polyak
+# ensembles above objective.SPLIT_T_MIN_VALUES, whose `rows.T @ w` splits by
+# columns too: heavy ball at n=257 (14261 x 257, n % 4 = 1), and Nesterov's
+# gradients through `gradient_kernel` at the bench's 14196 x 256
+case_ run_polyak_split_t run --n_list 257 --seed_list 0 --methods polyak
+case_ run_nesterov_split_t run --n_list 256 --seed_list 0 --methods nesterov
 case_ slopes slopes --n_list 16,32,64 --seed_list 0,1
 case_ oracle oracle
 case_ concentration concentration --n_list 100 --m_list 1000 --seed_list 0,1,2
@@ -91,3 +112,48 @@ printf 'P2\n1 1\n255\n200\n' >"$out/cdp_one_pixel/image.pgm"
 case_ cdp_one_pixel cdp --image image.pgm
 # a 257 x 257 synthetic image is over the 2^16-pixel limit (exit 2)
 case_ cdp_size_limit cdp --cdp_size 257
+
+if [ -n "$digests" ]; then
+    # the environment the outputs hold for, then one `sha256sum` line per file
+    python3 - >"$out/check_outputs.sha256" <<'PY'
+import ctypes
+
+import numpy as np
+
+blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+
+
+def ask(restype, *names):
+    for name in names:
+        fn = getattr(blas, name, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = (), restype
+            return fn()
+    return None
+
+
+config = ask(ctypes.c_char_p, "scipy_openblas_get_config64_", "scipy_openblas_get_config",
+             "openblas_get_config64_", "openblas_get_config")
+core = ask(ctypes.c_char_p, "scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+           "openblas_get_corename64_", "openblas_get_corename")
+threads = ask(ctypes.c_int, "scipy_openblas_get_num_threads64_",
+              "scipy_openblas_get_num_threads", "openblas_get_num_threads64_",
+              "openblas_get_num_threads")
+print(f"# numpy {np.__version__}")
+print(f"# BLAS {config.decode() if config else 'not OpenBLAS'}")
+print(f"# core {core.decode() if core else 'unknown'}")
+print(f"# BLAS threads {threads}")
+PY
+    (cd "$out" && find . -type f ! -path ./check_outputs.sha256 -printf '%P\0' | LC_ALL=C sort -z \
+        | xargs -0 sha256sum) >>"$out/check_outputs.sha256"
+    if ! diff <(grep '^#' "$digests") <(grep '^#' "$out/check_outputs.sha256"); then
+        echo "environment mismatch: the digests hold for the '<' lines above, this" \
+            "environment is on the '>' lines; no digest compared" >&2
+        exit 0
+    fi
+    if ! diff "$digests" "$out/check_outputs.sha256"; then
+        echo "outputs differ from $digests" >&2
+        exit 1
+    fi
+    echo "all $(grep -vc '^#' "$digests") digests match $digests"
+fi

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .model import SensingEnsemble, align_sign
-from .objective import gradient_kernel, project
+from .objective import gradient_kernel, project, project_t
 from .ric import inc_bound, loc_radius
 
 
@@ -224,7 +224,7 @@ def run(
             resid -= y
             cost_value = float(resid.dot(resid)) / (4.0 * m)
             resid *= proj
-            grad_value = rows.T.dot(resid)
+            grad_value = project_t(rows, resid)
             grad_value /= m
             dist_value = _norm(x_curr - target)
             cost.append(cost_value)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .model import SensingEnsemble, unit_sphere
-from .objective import project
+from .objective import project, project_t
 
 _POWER_STREAM = rng.label_stream("power-iteration")
 # distinct from the ground-truth sphere stream so a random start is
@@ -84,7 +84,7 @@ def spectral_init(ens: SensingEnsemble, y) -> SpectralReport:
     rows = ens.rows
 
     def matvec(v):
-        return rows.T @ (y * project(rows, v)) / ens.m
+        return project_t(rows, y * project(rows, v)) / ens.m
 
     v0 = rng.normals(ens.seed, _POWER_STREAM, ens.n)
     report = leading_eigenpair(matvec, v0, tol=1e-10, max_iters=1000)

@@ -190,13 +190,15 @@ class TestHeadToHead:
         np.testing.assert_allclose(data_2[:, 2:], data_1[:, 2:], rtol=rtol, atol=0)
 
     def test_split_products_keep_the_bytes(self, tmp_path):
-        # at one BLAS thread, `objective.project`'s two-thread products give
-        # the bits of one call: the output equals that of a run whose floor
-        # is out of reach, so that every product is serial
+        # at one BLAS thread, the two-thread products of `objective.project`
+        # and `objective.project_t` give the bits of one call: the output
+        # equals that of a run whose floors are out of reach, so that every
+        # product is serial.  Both floors sit at `project`'s, which the
+        # 6211 x 128 ensemble passes
         src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import sys; from prbench import cli, objective; "
-                "objective.SPLIT_MIN_VALUES = int(sys.argv[1]); "
+                "objective.SPLIT_MIN_VALUES = objective.SPLIT_T_MIN_VALUES = int(sys.argv[1]); "
                 "sys.exit(cli.main(sys.argv[2:]))")
         outputs = []
         for floor in (objective.SPLIT_MIN_VALUES, 2**62):

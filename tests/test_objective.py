@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from prbench import objective
 from prbench.model import SensingEnsemble, sample_ensemble, sample_unit_sphere
-from prbench.objective import SPLIT_MIN_VALUES, project
+from prbench.objective import SPLIT_MIN_VALUES, SPLIT_T_MIN_VALUES, project, project_t
 
 from conftest import make_problem
 from reference import cost, gradient, hessian, hessian_extremes
@@ -206,22 +206,25 @@ print(len(worker) == 1 and again == worker, np.array_equal(project(rows, x), row
         assert run_python(code).split() == ["ValueError"] * 3 + ["True", "True"]
 
     def test_concurrent_callers(self):
-        # four threads on two cores, switching every microsecond: one caller
-        # at a time splits, the others compute serially, and every product
-        # keeps its own bits
+        # four threads on two cores, switching every microsecond, each
+        # making both products: one caller at a time splits, the others
+        # compute serially, and every product keeps its own bits
         code = """
 import sys, threading
 import numpy as np
 from prbench import objective
-from prbench.objective import project
+from prbench.objective import project, project_t
 objective._SPLIT = True
+objective.SPLIT_T_MIN_VALUES = 0
 rng = np.random.default_rng(5)
-problems = [(rng.standard_normal((4097, 128)), rng.standard_normal(128)) for _ in range(4)]
+problems = [(rng.standard_normal((4097, 128)), rng.standard_normal(128), rng.standard_normal(4097))
+            for _ in range(4)]
 wrong = []
 
-def call(rows, x):
-    want = rows.dot(x)
-    wrong.extend(k for k in range(40) if not np.array_equal(project(rows, x), want))
+def call(rows, x, w):
+    want, want_t = rows.dot(x), rows.T.dot(w)
+    wrong.extend(k for k in range(150) if not np.array_equal(project(rows, x), want)
+                 or not np.array_equal(project_t(rows, w), want_t))
 
 sys.setswitchinterval(1e-6)
 threads = [threading.Thread(target=call, args=p) for p in problems]
@@ -241,6 +244,8 @@ import numpy as np
 from prbench import objective
 rows, x = np.ones((4097, 128)), np.ones(128)
 objective.project(rows, x)
+m = objective.SPLIT_T_MIN_VALUES // 128
+objective.project_t(np.ones((m, 128)), np.ones(m))
 print(objective._SPLIT, any(t.name == "prbench-project" for t in threading.enumerate()))
 """
         assert run_python(code, blas_threads=2).split() == ["False", "False"]
@@ -248,16 +253,17 @@ print(objective._SPLIT, any(t.name == "prbench-project" for t in threading.enume
     def test_interrupted_wait_starts_a_fresh_worker(self):
         # an interrupt that cuts the caller's wait leaves the worker to
         # release `done` late; a later product must not take that release
-        # for its own, so it gets a fresh worker and the bits of one call
+        # for its own, so it gets a fresh worker and the bits of one call,
+        # whichever product, `rows @ x` or `rows.T @ w`, was cut
         code = """
 import numpy as np
 from prbench import objective
-from prbench.objective import project
+from prbench.objective import project, project_t
 objective._SPLIT = True
+objective.SPLIT_T_MIN_VALUES = 0
 rng = np.random.default_rng(11)
 rows, x = rng.standard_normal((8191, 128)), rng.standard_normal(128)
-project(rows, x)
-old = objective._worker
+w = rng.standard_normal(8191)
 
 class CutWait:
     def __init__(self, lock):
@@ -272,15 +278,19 @@ class CutWait:
     def release(self):
         self.lock.release()
 
-old.done = CutWait(old.done)
-try:
-    project(rows, x)
-except KeyboardInterrupt:
-    print("interrupted")
-print(all(np.array_equal(project(rows, x), rows.dot(x)) for _ in range(20)),
-      objective._worker is not old)
+for cut in (lambda: project(rows, x), lambda: project_t(rows, w)):
+    cut()
+    old = objective._worker
+    old.done = CutWait(old.done)
+    try:
+        cut()
+    except KeyboardInterrupt:
+        print("interrupted")
+    print(all(np.array_equal(project(rows, x), rows.dot(x))
+              and np.array_equal(project_t(rows, w), rows.T.dot(w)) for _ in range(20)),
+          objective._worker is not old)
 """
-        assert run_python(code).split() == ["interrupted", "True", "True"]
+        assert run_python(code).split() == ["interrupted", "True", "True"] * 2
 
     def test_worker_keeps_no_array(self, monkeypatch):
         monkeypatch.setattr(objective, "_SPLIT", True)
@@ -291,3 +301,100 @@ print(all(np.array_equal(project(rows, x), rows.dot(x)) for _ in range(20)),
         assert np.array_equal(p, np.full(len(rows), 128.0))
         del rows, x
         assert [ref() is None for ref in refs] == [True, True]
+        # and after a transposed product; its sums of ones are exact at any
+        # BLAS thread count
+        rows, w = np.ones((SPLIT_T_MIN_VALUES // 128, 128)), np.ones(SPLIT_T_MIN_VALUES // 128)
+        refs = weakref.ref(rows), weakref.ref(w)
+        g = project_t(rows, w)
+        assert np.array_equal(g, np.full(128, float(len(rows))))
+        del rows, w
+        assert [ref() is None for ref in refs] == [True, True]
+
+
+# counts the worker's column parts, so that a test knows its product split
+COUNT_PARTS = """
+from prbench import objective
+parts = []
+columns = objective._Worker.columns
+
+def counted(self, rows, w, out, c0, c1):
+    parts.append((c0, c1))
+    columns(self, rows, w, out, c0, c1)
+
+objective._Worker.columns = counted
+"""
+
+
+class TestProjectT:
+    # every n % 4, an odd m, and the bench's n=256 ensemble
+    SHAPES = [(14196, 256), (6211, 128), (4099, 200), (2041, 257), (3001, 258),
+              (3001, 259), (8193, 65)]
+
+    def test_bits_equal_one_call(self):
+        # the floor at 0 and `_SPLIT` on, so that every shape splits; each
+        # product is two parts that meet at a multiple of 8 near n/2
+        code = COUNT_PARTS + f"""
+import numpy as np
+objective._SPLIT = True
+objective.SPLIT_T_MIN_VALUES = 0
+rng = np.random.default_rng(7)
+for m, n in {self.SHAPES}:
+    rows, w = rng.standard_normal((m, n)), rng.standard_normal(m)
+    parts.clear()
+    print(m, n, np.array_equal(objective.project_t(rows, w), rows.T.dot(w)), sorted(parts))
+"""
+        lines = run_python(code).splitlines()
+        assert lines == [f"{m} {n} True [(0, {n // 2 & -8}), ({n // 2 & -8}, {n})]"
+                         for m, n in self.SHAPES]
+
+    def test_below_the_floor_one_call(self):
+        code = COUNT_PARTS + """
+import numpy as np
+objective._SPLIT = True
+rng = np.random.default_rng(2)
+m = objective.SPLIT_T_MIN_VALUES // 256
+for rows in (rng.standard_normal((m - 1, 256)), rng.standard_normal((m, 256))):
+    w = rng.standard_normal(len(rows))
+    print(np.array_equal(objective.project_t(rows, w), rows.T.dot(w)), len(parts))
+"""
+        assert run_python(code).splitlines() == ["True 0", "True 2"]
+
+    def test_other_inputs_take_one_call(self):
+        # each input the `cblas_dgemv` call does not fit gives one call's
+        # result, or numpy's own error, and never reaches the worker; the
+        # next product splits with the right bits
+        code = COUNT_PARTS + """
+import numpy as np
+objective._SPLIT = True
+objective.SPLIT_T_MIN_VALUES = 0
+rng = np.random.default_rng(3)
+rows, w = rng.standard_normal((4097, 128)), rng.standard_normal(4097)
+wide = rng.standard_normal((8194, 128))
+cases = {
+    "w of m - 1": (rows, w[:-1]),
+    "w of m + 1": (rows, np.append(w, 1.0)),
+    "strided w": (rows, rng.standard_normal(2 * 4097)[::2]),
+    "float32 w": (rows, w.astype(np.float32)),
+    "Fortran rows": (np.asfortranarray(rows), w),
+    "row slice": (wide[::2], w),
+    "column slice": (wide[:4097, :100], w),
+    "one row": (rows[:1], w[:1]),
+    "15 columns": (np.ascontiguousarray(rows[:, :15]), w),
+}
+for name, (a, v) in cases.items():
+    try:
+        got = objective.project_t(a, v)
+    except ValueError:
+        got = "ValueError"
+    else:
+        got = np.array_equal(got, a.T.dot(v))
+    right = np.array_equal(objective.project_t(rows, w), rows.T.dot(w))
+    print(name, got, right, len(parts))
+    parts.clear()
+"""
+        assert run_python(code).splitlines() == [
+            "w of m - 1 ValueError True 2", "w of m + 1 ValueError True 2",
+            "strided w True True 2", "float32 w True True 2", "Fortran rows True True 2",
+            "row slice True True 2", "column slice True True 2", "one row True True 2",
+            "15 columns True True 2",
+        ]
