@@ -80,6 +80,8 @@ case_ run_polyak_split_t run --n_list 257 --seed_list 0 --methods polyak
 case_ run_nesterov_split_t run --n_list 256 --seed_list 0 --methods nesterov
 case_ slopes slopes --n_list 16,32,64 --seed_list 0,1
 case_ oracle oracle
+# a flag the command does not read (exit 2, no output)
+case_ oracle_unread_flag oracle --methods gd --seed_list 0,1 --n_list 10,20
 case_ concentration concentration --n_list 100 --m_list 1000 --seed_list 0,1,2
 # the concentration bounds need n >= 3 (exit 2)
 case_ concentration_n2 concentration --n_list 2
@@ -112,6 +114,8 @@ printf 'P2\n1 1\n255\n200\n' >"$out/cdp_one_pixel/image.pgm"
 case_ cdp_one_pixel cdp --image image.pgm
 # a 257 x 257 synthetic image is over the 2^16-pixel limit (exit 2)
 case_ cdp_size_limit cdp --cdp_size 257
+# flags that name no key cdp reads (exit 2, no output)
+case_ cdp_unread_flag cdp --n_list 10,20 --m_list 5,6
 
 if [ -n "$digests" ]; then
     # the environment the outputs hold for, then one `sha256sum` line per file

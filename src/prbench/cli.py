@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 
-from .harness import COMMANDS, FIRST_VALUE_KEYS, make_config, parse_config
+from .harness import COMMANDS, make_config, parse_config
 
 USAGE = f"usage: prbench {{{','.join(COMMANDS)}}} [--config PATH] [--key value ...]"
 
@@ -36,18 +36,24 @@ def main(argv=None) -> int:
             got = repr(argv[0]) if argv else "nothing"
             raise ValueError(f"expected a subcommand ({', '.join(COMMANDS)}), got {got}")
         # the defaults, then the file's lines, then the flags; one check
-        values = _parse_overrides(argv[1:])
-        path = values.pop("config", None)
+        flags = _parse_overrides(argv[1:])
+        path = flags.pop("config", None)
+        values = flags
         if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
-                values = {**parse_config(fh.read()), **values}
+                values = {**parse_config(fh.read()), **flags}
         cfg = make_config(values)
-        # only here are the user's keys told apart from the defaults
-        for key in FIRST_VALUE_KEYS.get(argv[0], ()):
+        # only here are the user's keys told apart from the defaults; a flag
+        # must name a key the command reads, a file may serve other commands
+        command, keys, one_value = COMMANDS[argv[0]]
+        for key in flags:
+            if key not in keys:
+                raise ValueError(f"{key}: {argv[0]} does not read it")
+        for key in one_value:
             if key in values and len(getattr(cfg, key)) > 1:
                 got = ",".join(map(str, getattr(cfg, key)))
                 raise ValueError(f"{key}: {argv[0]} reads one value, got {got}")
-        return COMMANDS[argv[0]](cfg)
+        return command(cfg)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"prbench: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ import numpy as np
 
 from .model import SensingEnsemble
 from .objective import gradient_kernel
+from .ric import inc_bound
 from .solvers import Method, SolverParams, momentum_step, run
 
 
@@ -146,7 +147,8 @@ def concentration_report(
 
     The probe must be independent of the ensemble (caller responsibility;
     a fresh unit-sphere draw or any fixed vector qualifies).  Rejects
-    n < 3, where the 5 sqrt(log n) bound is not meaningful.
+    n < 3, where the projection bound `ric.inc_bound`, C2 sqrt(log n),
+    is not meaningful.
     """
     if ens.n < 3:
         raise ValueError("concentration bounds need n >= 3")
@@ -154,6 +156,6 @@ def concentration_report(
     max_row = float(row_norms.max())
     row_bound = math.sqrt(6.0 * ens.n)
     max_proj = float(np.max(np.abs(ens.rows @ probe)))
-    proj_bound = 5.0 * math.sqrt(math.log(ens.n)) * float(np.linalg.norm(probe))
+    proj_bound = inc_bound(ens.n, probe)
     return (max_row, row_bound, max_row <= row_bound,
             max_proj, proj_bound, max_proj <= proj_bound)

@@ -125,9 +125,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ValueError(f"{name} must be nonempty")
     # step, momentum, max_iters and tol go through the rule the commands
     # use; every method is checked, so a bad beta is rejected even where
-    # only gradient descent (which ignores it) runs
-    for m in cfg.methods + (cfg.method_a, cfg.method_b) + tuple(Method):
-        override_params(SolverParams(Method(m), eta=1.0), cfg.eta, cfg.beta,
+    # only gradient descent (which ignores it) runs, and a bad name is
+    # reported with its key
+    named = [("methods", m) for m in cfg.methods] + [
+        ("method_a", cfg.method_a), ("method_b", cfg.method_b)] + [("", m) for m in Method]
+    for key, name in named:
+        try:
+            method = Method(name)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+        override_params(SolverParams(method, eta=1.0), cfg.eta, cfg.beta,
                         max_iters=cfg.max_iters, tol=cfg.tol)
     if cfg.init not in ("spectral", "random"):
         raise ValueError(f"init must be spectral or random, got {cfg.init!r}")
@@ -423,23 +430,22 @@ def cmd_cdp(cfg: ExperimentConfig) -> int:
     return 0 if ok and none_diverged else 1
 
 
+# each command: its function, the keys it reads, and the list keys it reads
+# one value of; `cli.main` checks the user's flags and file against them
+_RUN_KEYS = ("n_list", "m_list", "seed_list", "methods", "init", "eta", "beta", "tol",
+             "max_iters", "out")
+_PAIR_KEYS = ("n_list", "m_list", "seed_list", "init", "eta", "beta", "tol", "max_iters",
+              "out", "method_a", "method_b")
+_ONE_RUN = ("n_list", "m_list", "seed_list", "methods")
 COMMANDS = {
-    "run": cmd_run,
-    "sweep": cmd_sweep,
-    "headtohead": cmd_headtohead,
-    "slopes": cmd_slopes,
-    "loo": cmd_loo,
-    "oracle": cmd_oracle,
-    "cdp": cmd_cdp,
-    "concentration": cmd_concentration,
-}
-
-# the list keys of which a command reads only the first value: `cli.main`
-# refuses a file or flag that gives such a key more
-FIRST_VALUE_KEYS = {
-    "run": ("n_list", "m_list", "seed_list", "methods"),
-    "loo": ("n_list", "m_list", "seed_list", "methods"),
-    "headtohead": ("n_list", "m_list"),
-    "concentration": ("n_list", "m_list"),
-    "cdp": ("seed_list",),
+    "run": (cmd_run, _RUN_KEYS, _ONE_RUN),
+    "sweep": (cmd_sweep, _RUN_KEYS, ()),
+    "headtohead": (cmd_headtohead, _PAIR_KEYS, ("n_list", "m_list")),
+    "slopes": (cmd_slopes, _PAIR_KEYS, ()),
+    "loo": (cmd_loo, _RUN_KEYS + ("loo_budget_m", "loo_budget_iters"), _ONE_RUN),
+    "oracle": (cmd_oracle, ("out",), ()),
+    "cdp": (cmd_cdp, ("seed_list", "methods", "eta", "beta", "out", "image", "mask_count",
+                      "cdp_iters", "cdp_size"), ("seed_list",)),
+    "concentration": (cmd_concentration, ("n_list", "m_list", "seed_list", "out"),
+                      ("n_list", "m_list")),
 }

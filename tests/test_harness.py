@@ -687,6 +687,10 @@ class TestCli:
         (["cdp", "--seed_list", "0,1", "--cdp_size", "8", "--mask_count", "2",
           "--cdp_iters", "2"], "seed_list"),
         (["slopes", "--n_list", "8,12,16", "--m_list", "100,100,100,100"], "m_list"),
+        # a flag the command does not read
+        (["oracle", "--methods", "gd", "--seed_list", "0,1", "--n_list", "10,20"], "methods"),
+        (["cdp", "--n_list", "10,20", "--m_list", "5,6"], "n_list"),
+        (["run", "--method_a", "nesterov"], "method_a"),
     ])
     def test_repeated_or_unread_value_exits_two(self, tmp_path, monkeypatch, capsys, argv,
                                                 key):
@@ -701,15 +705,26 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, key", [
-        (["--n_list", "1e3"], "n_list"),
-        (["--max_iters", "1.5"], "max_iters"),
-        (["--tol", "abc"], "tol"),
+        (["run", "--n_list", "1e3"], "n_list"),
+        (["run", "--max_iters", "1.5"], "max_iters"),
+        (["run", "--tol", "abc"], "tol"),
+        (["run", "--methods", "foo"], "methods"),
+        (["headtohead", "--method_b", "bar"], "method_b"),
     ])
     def test_unparsable_value_names_its_key(self, tmp_path, capsys, argv, key):
-        assert cli.main(["run"] + argv + ["--out", str(tmp_path / "t.csv")]) == 2
+        assert cli.main(argv + ["--out", str(tmp_path / "t.csv")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"prbench: {key}: ")
+
+    def test_config_file_may_hold_other_commands_keys(self, tmp_path):
+        # one file may serve several commands: sweep reads no method_a
+        conf = tmp_path / "shared.cfg"
+        conf.write_text("method_a=gd\nmethod_b=polyak\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(conf), "--n_list", "10", "--m_list", "60",
+                         "--methods", "gd", "--out", str(out)]) == 0
+        assert (out / "summary.csv").exists()
 
     def test_diverging_cdp_warns_nothing(self, tmp_path):
         # overflow is how a diverging run shows itself; it is not a warning
@@ -805,26 +820,33 @@ class TestCli:
     eta=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-3", "0.5", "1", "1.5"]),
     beta=st.sampled_from([None, "nan", "inf", "-1", "0", "1e-3", "0.5", "1", "1.5"]),
     drop_last=st.booleans(),
+    every_flag=st.booleans(),
 )
 def test_cli_fuzz_exit_contract(tmp_path, command, n_list, m_list, max_iters, seed,
                                 methods, init, cdp_size, mask_count, cdp_iters, eta, beta,
-                                drop_last):
+                                drop_last, every_flag):
     # every input ends in exit 0, 1 or 2; an escaping exception fails the test
     def joined(values):
         return ",".join(str(v) for v in values)
 
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
-        argv = [
-            command, "--n_list", joined(n_list), "--m_list", joined(m_list),
-            "--max_iters", str(max_iters), "--seed_list", str(seed),
-            "--methods", joined(methods), "--init", init,
-            "--cdp_size", str(cdp_size), "--mask_count", str(mask_count),
-            "--cdp_iters", str(cdp_iters), "--out", os.path.join(tmp, "out"),
-        ]
-        # None leaves the command's default step or momentum in place
-        for key, value in (("--eta", eta), ("--beta", beta)):
-            if value is not None:
-                argv += [key, value]
+        flags = {
+            "n_list": joined(n_list), "m_list": joined(m_list), "max_iters": str(max_iters),
+            "seed_list": str(seed), "methods": joined(methods), "init": init,
+            "cdp_size": str(cdp_size), "mask_count": str(mask_count),
+            "cdp_iters": str(cdp_iters), "out": os.path.join(tmp, "out"),
+            # None leaves the command's default step or momentum in place
+            "eta": eta, "beta": beta,
+        }
+        # the flags the command reads, so that it runs, or every flag, which
+        # each command refuses for the ones it does not read; oracle reads
+        # only `out`, nothing to draw, and each of its runs takes 0.2 s
+        every = every_flag or command in ("bogus", "oracle")
+        keys = flags if every else cli.COMMANDS[command][1]
+        argv = [command]
+        for key, value in flags.items():
+            if key in keys and value is not None:
+                argv += [f"--{key}", value]
         if drop_last:
             argv = argv[:-1]
         err = io.StringIO()

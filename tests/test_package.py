@@ -6,8 +6,10 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import prbench
-from prbench import cdp, cli
+from prbench import cdp, cli, pgm
 from prbench.harness import ExperimentConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -68,29 +70,58 @@ def test_readme_layout_lists_modules():
 
 
 def test_readme_cli_matches_config():
-    # every flag on a `prbench <command>` line of the README is a config key
-    # (or --config), and the subcommands the README lists are the CLI's
+    # every flag on a `prbench <command>` line of the README is a key that
+    # command reads (or --config), and the subcommands the README lists are
+    # the CLI's
     text = README.read_text(encoding="utf-8").replace("\\\n", " ")
     calls = re.findall(r"^\s*prbench (\w+)(.*)$", text, flags=re.M)
     assert calls
-    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"config"}
     for command, args in calls:
         assert command in cli.COMMANDS
-        assert set(re.findall(r"--(\w+)", args)) <= keys, args
+        assert set(re.findall(r"--(\w+)", args)) <= {*cli.COMMANDS[command][1], "config"}, args
     listed = re.search(r"Subcommands: (.*?)\.", text, flags=re.S).group(1)
     assert set(re.findall(r"`(\w+)`", listed)) == set(cli.COMMANDS)
 
 
-def test_every_config_key_is_read():
-    # a key no command reads would be accepted and then ignored
-    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
-    read = {
-        node.attr for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        and isinstance(node.value, ast.Name) and node.value.id == "cfg"
-    }
-    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert keys - read == set()
+_FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+class RecordingConfig(ExperimentConfig):
+    """A config that notes the name of each field read from it."""
+
+    def __getattribute__(self, name):
+        if name in _FIELD_NAMES:
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("command, runs", [
+    ("run", [dict(n_list=(10,), m_list=(60,), methods=("gd",))]),
+    ("sweep", [dict(n_list=(10,), m_list=(60,), methods=("gd",))]),
+    ("headtohead", [dict(n_list=(16,))]),
+    ("slopes", [dict(n_list=(8, 12, 16), max_iters=50)]),
+    ("loo", [dict(n_list=(16,), m_list=(32,), methods=("polyak",), max_iters=5)]),
+    ("oracle", [{}]),
+    ("concentration", [dict(n_list=(10,), m_list=(100,))]),
+    # the synthetic image reads its size, a read image does not
+    ("cdp", [dict(cdp_size=8, mask_count=2, cdp_iters=2),
+             dict(image="image.pgm", mask_count=2, cdp_iters=2)]),
+])
+def test_each_command_reads_its_row(tmp_path, monkeypatch, command, runs):
+    # the keys a command reads are its row of `COMMANDS`: a flag outside the
+    # row would be accepted and then ignored, and a key in the row that the
+    # command never reads would be refused for nothing
+    monkeypatch.chdir(tmp_path)
+    pgm.write_pgm("image.pgm", cdp.synthetic_image(8, 8))
+    function, keys, one_value = cli.COMMANDS[command]
+    read = set()
+    for idx, values in enumerate(runs):
+        cfg = RecordingConfig(out=f"out{idx}", **values)
+        cfg.read = set()
+        assert function(cfg) in (0, 1)
+        read |= cfg.read
+    assert read == set(keys)
+    assert set(one_value) <= set(keys)
 
 
 def test_cli_imports_no_scipy():
