@@ -108,9 +108,9 @@ class RecordingConfig(ExperimentConfig):
              dict(image="image.pgm", mask_count=2, cdp_iters=2)]),
 ])
 def test_each_command_reads_its_row(tmp_path, monkeypatch, command, runs):
-    # the keys a command reads are its row of `COMMANDS`: a flag outside the
-    # row would be accepted and then ignored, and a key in the row that the
-    # command never reads would be refused for nothing
+    # each command reads exactly its row of `COMMANDS`: a key it reads that
+    # the row lacks would be refused as a flag, and a key in the row that it
+    # never reads would be accepted and then ignored
     monkeypatch.chdir(tmp_path)
     pgm.write_pgm("image.pgm", cdp.synthetic_image(8, 8))
     function, keys, one_value = cli.COMMANDS[command]
