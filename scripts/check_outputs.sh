@@ -62,6 +62,8 @@ case_ run_gd run --n_list 10 --m_list 200 --seed_list 0 --methods gd
 case_ run_random run --n_list 50 --m_list 500 --seed_list 3 --methods nesterov --init random
 # run reads one seed, so a second is refused (exit 2, no output)
 case_ run_two_seeds run --n_list 10 --m_list 200 --seed_list 0,1 --methods gd
+# --out given twice, here and by case_ (exit 2, no output)
+case_ run_repeated_flag run --n_list 10 --m_list 200 --out a.csv
 # a 128 PiB ensemble, larger than any 64-bit address space: the allocation fails
 # at once, touching no page (exit 2)
 case_ run_alloc_fail run --n_list 1099511627776 --m_list 16384

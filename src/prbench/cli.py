@@ -21,7 +21,10 @@ def _parse_overrides(tokens: list[str]) -> dict[str, str]:
         token = tokens[i]
         if not token.startswith("--") or i + 1 >= len(tokens):
             raise ValueError(f"expected --key value pairs, got {' '.join(tokens[i:])!r}")
-        overrides[token[2:]] = tokens[i + 1]
+        key = token[2:]
+        if key in overrides:
+            raise ValueError(f"{key}: given twice")
+        overrides[key] = tokens[i + 1]
         i += 2
     return overrides
 
@@ -40,8 +43,12 @@ def main(argv=None) -> int:
         path = flags.pop("config", None)
         values = flags
         if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                values = {**parse_config(fh.read()), **flags}
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise OSError(f"config: cannot read {path}: {exc}") from exc
+            values = {**parse_config(text), **flags}
         cfg = make_config(values)
         # only here are the user's keys told apart from the defaults; a flag
         # must name a key the command reads, a file may serve other commands

@@ -300,9 +300,13 @@ def cmd_slopes(cfg: ExperimentConfig) -> int:
         reference = math.sqrt(math.log(n))
         ok = math.isfinite(mean_slope) and abs(mean_slope - reference) <= 0.3 * reference
         rows.append((n, m, len(slopes), mean_slope, reference, ok))
+    all_fit = all(row[2] == len(cfg.seed_list) for row in rows)
+    means = [row[3] for row in sorted(rows)]
+    monotone = all(a <= b for a, b in zip(means, means[1:]))
     _write_csv(cfg.out, ("n", "m", "seeds", "mean_slope", "sqrt_log_n", "ok"),
-               "%d,%d,%d,%.17g,%.17g,%d", rows)
-    return 0 if all(row[-1] for row in rows) else 1
+               "%d,%d,%d,%.17g,%.17g,%d", rows,
+               comments=[f"every_seed_fit={int(all_fit)}", f"means_monotone={int(monotone)}"])
+    return 0 if all_fit and monotone and all(row[-1] for row in rows) else 1
 
 
 def sweep_cell(cfg: ExperimentConfig, n: int, m: int, out_dir=None):
@@ -326,23 +330,42 @@ def sweep_cell(cfg: ExperimentConfig, n: int, m: int, out_dir=None):
     return rows
 
 
+def momentum_dominates(cfg: ExperimentConfig, rows) -> bool:
+    """Whether one cell's `sweep_cell` rows pass: where GD's median is
+    finite, each momentum method run with beta > 0 has a smaller median, and
+    two such medians lie within 10% of the larger.  At n <= 7 the default
+    beta clamps to 0, so such a cell is not judged."""
+    medians = {Method(row[2]): row[-1] for row in rows}
+    gd = medians.pop(Method.GD, math.nan)
+    # beta does not depend on the start's norm
+    momentum = [median for method, median in medians.items()
+                if override_params(default_params(rows[0][0], 1.0, method),
+                                   cfg.eta, cfg.beta).beta > 0]
+    if not (math.isfinite(gd) and momentum):
+        return True
+    return (all(median < gd for median in momentum)
+            and max(momentum) - min(momentum) <= 0.1 * max(momentum))
+
+
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     # `slopes` may give several n the same m, a sweep's grid may not
     _check_distinct("m_list", cfg.m_list)
     os.makedirs(cfg.out, exist_ok=True)
-    rows = []
+    rows, dominates = [], True
     for n in cfg.n_list:
         m_values = cfg.m_list if cfg.m_list else (theory_m(n),)
         for m in m_values:
-            rows.extend(sweep_cell(cfg, n, m, out_dir=cfg.out))
+            cell = sweep_cell(cfg, n, m, out_dir=cfg.out)
+            dominates = momentum_dominates(cfg, cell) and dominates
+            rows.extend(cell)
     # median_iters is nan for a cell with no converged seed and x.5 for an
     # even seed count, so it is a float column
     _write_csv(
         os.path.join(cfg.out, "summary.csv"),
         ("n", "m", "method", "init", "seeds", "converged", "diverged", "median_iters"),
-        "%d,%d,%s,%s,%d,%d,%d,%.17g", rows,
+        "%d,%d,%s,%s,%d,%d,%d,%.17g", rows, comments=[f"momentum_dominates={int(dominates)}"],
     )
-    return 0
+    return 0 if dominates else 1
 
 
 def cmd_loo(cfg: ExperimentConfig) -> int:
@@ -379,8 +402,10 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
     for method in (Method.GD, Method.POLYAK, Method.NESTEROV):
         measured = quadratic_oracle(method)
         rows.append((method.value, measured, bounds[method], measured < bounds[method]))
-    _write_csv(cfg.out, ("method", "measured_ratio", "bound", "ok"), "%s,%.17g,%.17g,%d", rows)
-    return 0 if all(row[-1] for row in rows) else 1
+    below_gd = all(row[1] < rows[0][1] for row in rows[1:])
+    _write_csv(cfg.out, ("method", "measured_ratio", "bound", "ok"), "%s,%.17g,%.17g,%d", rows,
+               comments=[f"momentum_below_gd={int(below_gd)}"])
+    return 0 if below_gd and all(row[-1] for row in rows) else 1
 
 
 def cmd_concentration(cfg: ExperimentConfig) -> int:
@@ -423,11 +448,14 @@ def cmd_cdp(cfg: ExperimentConfig) -> int:
     ok = gd is None or all(err < gd for m, err in finals.items() if m is not Method.GD)
     # a diverged method fails the run whether or not GD ran beside it
     none_diverged = all(trace.status is not Status.DIVERGED for trace in traces)
-    comments.append(f"accelerated_below_gd={int(ok)}")
-    comments.append(f"none_diverged={int(none_diverged)}")
+    # one forward and one inverse transform per mask in every step of every method
+    parity = all(calls == 2 * cfg.mask_count
+                 for trace in traces for calls in trace.fft_calls_per_iter)
+    comments += [f"accelerated_below_gd={int(ok)}", f"none_diverged={int(none_diverged)}",
+                 f"fft_parity={int(parity)}"]
     _write_csv(os.path.join(cfg.out, "errors.csv"), ("method", "iter", "rel_err"), "%s,%d,%.17g",
                rows, comments=comments)
-    return 0 if ok and none_diverged else 1
+    return 0 if ok and none_diverged and parity else 1
 
 
 # each command: its function, the keys it reads, and the list keys it reads

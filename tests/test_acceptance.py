@@ -20,21 +20,12 @@ violation pinned.
 
 import dataclasses
 import math
-import statistics
 import time
 
 import numpy as np
-import pytest
 
-import prbench.cdp as cdp
-from prbench.diagnostics import (
-    concentration_report,
-    loo_run,
-    loo_sequence,
-    quadratic_oracle,
-    quadratic_parameters,
-)
-from prbench.harness import ExperimentConfig, headtohead_slope, sweep_cell, theory_m
+from prbench.diagnostics import loo_sequence, quadratic_parameters
+from prbench.harness import ExperimentConfig, momentum_dominates, sweep_cell, theory_m
 from prbench.model import (
     SensingEnsemble,
     observe,
@@ -44,7 +35,7 @@ from prbench.model import (
 )
 from prbench.solvers import Method, default_params, run
 from prbench.spectral import _POWER_STREAM, leading_eigenpair, spectral_init
-from prbench import rng
+from prbench import cli, rng
 
 from conftest import make_problem
 from reference import (
@@ -65,6 +56,18 @@ def report(number, ok, detail, elapsed, budget):
     print(f"ACCEPTANCE {number:02d} {status}: {detail} [{elapsed:.1f}s / {budget:.0f}s]")
     assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget"
     assert ok, f"criterion {number}: {detail}"
+
+
+def run_cli(tmp_path, argv, table=""):
+    """Run one command in-process into `tmp_path / "out"`; returns its exit
+    code, its table's rows as {column: text} and its `# key=value` comments."""
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--out", str(out)])
+    lines = (out / table if table else out).read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:] if line[0] != "#"]
+    comments = dict(line[2:].split("=", 1) for line in lines if line[0] == "#")
+    return code, rows, comments
 
 
 def test_c01_gradient_and_hessian_match_finite_differences():
@@ -108,19 +111,13 @@ def test_c02_spectral_population_oracle_and_monte_carlo():
            time.monotonic() - start, 10.0)
 
 
-def test_c03_quadratic_oracle_rates_at_kappa_100():
+def test_c03_quadratic_oracle_rates_at_kappa_100(tmp_path):
     start = time.monotonic()
-    measured = {m: quadratic_oracle(m) for m in Method}
-    ok = (
-        measured[Method.GD] <= 0.995
-        and measured[Method.POLYAK] <= 9.0 / 11.0 + 0.02
-        and measured[Method.NESTEROV] <= 0.9 + 0.02
-        and measured[Method.POLYAK] < measured[Method.GD]
-        and measured[Method.NESTEROV] < measured[Method.GD]
-    )
-    report(3, ok,
-           "ratios gd={:.4f} hb={:.4f} nag={:.4f}".format(
-               measured[Method.GD], measured[Method.POLYAK], measured[Method.NESTEROV]),
+    code, rows, comments = run_cli(tmp_path, ["oracle"])
+    report(3, code == 0,
+           ", ".join(f"{row['method']} {float(row['measured_ratio']):.4f} < "
+                     f"{float(row['bound']):.4f}" for row in rows)
+           + f"; momentum_below_gd={comments['momentum_below_gd']}",
            time.monotonic() - start, 1.0)
 
 
@@ -142,20 +139,16 @@ def test_c04_contraction_matrices_match_rate_factors():
 
 
 def test_c05_grid_momentum_dominance_both_inits():
+    # `momentum_dominates` is the rule `prbench sweep` applies to each cell
     start = time.monotonic()
     failures = []
     for init in ("spectral", "random"):
-        cfg = ExperimentConfig(seed_list=(0, 1, 2, 3, 4), init=init, tol=1e-7)
+        cfg = ExperimentConfig(seed_list=(0, 1, 2, 3, 4), init=init)
         for n in (10, 50, 100):
             for m in (200, 500, 1000):
-                medians = {row[2]: row[-1] for row in sweep_cell(cfg, n, m)}
-                gd, hb, nag = medians["gd"], medians["polyak"], medians["nesterov"]
-                if math.isnan(gd):
-                    continue  # GD does not converge in this cell
-                if not (hb < gd and nag < gd):
-                    failures.append(f"{init} n={n} m={m}: no strict dominance {medians}")
-                elif abs(hb - nag) > 0.1 * max(hb, nag):
-                    failures.append(f"{init} n={n} m={m}: hb/nag medians differ >10%")
+                rows = sweep_cell(cfg, n, m)
+                if not momentum_dominates(cfg, rows):
+                    failures.append(f"{init} n={n} m={m}: medians {[row[-1] for row in rows]}")
     report(5, not failures, "; ".join(failures) or "momentum dominates on every converging cell",
            time.monotonic() - start, 300.0)
 
@@ -195,43 +188,29 @@ def test_c06_contraction_rates_and_incoherence_at_n64():
            time.monotonic() - start, 60.0)
 
 
-def test_c07_speedup_slopes_track_sqrt_log_n():
+def test_c07_speedup_slopes_track_sqrt_log_n(tmp_path):
     start = time.monotonic()
-    sizes = (16, 64, 256)
-    means = []
-    details = []
-    ok = True
-    for n in sizes:
-        cfg = ExperimentConfig(n_list=(n,), seed_list=tuple(range(5)))
-        slopes = [headtohead_slope(cfg, n, theory_m(n), seed)[1] for seed in range(5)]
-        assert all(math.isfinite(s) for s in slopes)
-        mean = statistics.fmean(slopes)
-        reference = math.sqrt(math.log(n))
-        means.append(mean)
-        details.append(f"n={n}: {mean:.3f} vs sqrt(log n)={reference:.3f}")
-        if abs(mean - reference) > 0.3 * reference:
-            ok = False
-    if not all(means[i] <= means[i + 1] for i in range(len(means) - 1)):
-        ok = False
-        details.append("means not monotone")
-    report(7, ok, "; ".join(details), time.monotonic() - start, 300.0)
+    code, rows, comments = run_cli(tmp_path, ["slopes", "--n_list", "16,64,256",
+                                              "--seed_list", "0,1,2,3,4"])
+    details = [f"n={row['n']}: {float(row['mean_slope']):.3f} over {row['seeds']} seeds "
+               f"vs sqrt(log n)={float(row['sqrt_log_n']):.3f}" for row in rows]
+    details += [f"{key}={value}" for key, value in comments.items()]
+    report(7, code == 0, "; ".join(details), time.monotonic() - start, 300.0)
 
 
-def test_c08_leave_one_out_proximity_and_independence():
+def test_c08_leave_one_out_proximity_and_independence(tmp_path):
     start = time.monotonic()
     n = 100
     m = int(round(n * math.log(n)))  # the m ~ n log n regime of the bound
-    threshold = 5.0 * math.sqrt(math.log(n) / n)
-    worst = 0.0
-    for method in (Method.POLYAK, Method.NESTEROV):
+    passed, worst = 0, 0.0
+    for method in ("polyak", "nesterov"):
         for seed in range(5):
-            ens, x_star, y, x0 = make_problem(n, m, seed)
-            params = dataclasses.replace(
-                default_params(n, float(np.linalg.norm(x0)), method),
-                max_iters=500,
-            )
-            bundle = loo_run(ens, y, x0, params, x_star)
-            worst = max(worst, float(bundle.proximity.max()))
+            code, rows, _ = run_cli(tmp_path, [
+                "loo", "--n_list", str(n), "--m_list", str(m), "--loo_budget_m", str(m),
+                "--seed_list", str(seed), "--methods", method, "--max_iters", "500"])
+            passed += code == 0
+            worst = max(worst, max(float(row["proximity"]) for row in rows))
+            threshold = float(rows[0]["threshold"])
     # independence: poisoning row ell leaves sequence ell bit-identical
     ens, x_star, y, x0 = make_problem(n, m, 0)
     params = dataclasses.replace(
@@ -242,9 +221,8 @@ def test_c08_leave_one_out_proximity_and_independence():
     rows[7] = np.nan
     poisoned = SensingEnsemble(rows=rows, seed=ens.seed)
     independent = np.array_equal(clean, loo_sequence(poisoned, y, x0, params, 7, 50))
-    ok = worst <= threshold and independent
-    report(8, ok,
-           f"max proximity {worst:.4f} vs threshold {threshold:.4f}, "
+    report(8, passed == 10 and independent,
+           f"{passed}/10 runs within threshold {threshold:.4f} (max proximity {worst:.4f}), "
            f"poisoning independence {'holds' if independent else 'violated'}",
            time.monotonic() - start, 120.0)
 
@@ -269,35 +247,22 @@ def test_c09_hessian_bounds_at_ric_points():
            time.monotonic() - start, 60.0)
 
 
-def test_c10_concentration_suite_20_of_20():
+def test_c10_concentration_suite_20_of_20(tmp_path):
     start = time.monotonic()
-    passed = 0
-    for seed in range(20):
-        ens = sample_ensemble(1000, 100, seed)
-        probe = sample_unit_sphere(100, seed)
-        _, _, row_ok, _, _, proj_ok = concentration_report(ens, probe)
-        passed += row_ok and proj_ok
-    report(10, passed == 20, f"{passed}/20 seeds satisfy both bounds",
+    code, rows, _ = run_cli(tmp_path, ["concentration", "--n_list", "100", "--m_list", "1000",
+                                       "--seed_list", ",".join(map(str, range(20)))])
+    passed = sum(row["row_ok"] == row["proj_ok"] == "1" for row in rows)
+    report(10, code == 0, f"{passed}/{len(rows)} seeds satisfy both bounds",
            time.monotonic() - start, 10.0)
 
 
-def test_c11_cdp_acceleration_and_fft_parity():
+def test_c11_cdp_acceleration_and_fft_parity(tmp_path):
     start = time.monotonic()
-    image = cdp.synthetic_image(64, 64)
-    finals = {}
-    per_iter = {}
-    problem = cdp.cdp_problem(image, 12, seed=0)
-    for method in Method:
-        trace = cdp.cdp_run(problem, method, 140)
-        finals[method] = float(trace.rel_err[-1])
-        per_iter[method] = set(trace.fft_calls_per_iter)
-    parity = per_iter[Method.GD] == per_iter[Method.POLYAK] == per_iter[Method.NESTEROV] == {24}
-    ok = (
-        finals[Method.POLYAK] < finals[Method.GD]
-        and finals[Method.NESTEROV] < finals[Method.GD]
-        and parity
-    )
-    report(11, ok,
-           f"rel err at 140: gd={finals[Method.GD]:.4f} hb={finals[Method.POLYAK]:.4f} "
-           f"nag={finals[Method.NESTEROV]:.4f}; 24 FFTs per iteration for all methods",
-           time.monotonic() - start, 120.0)
+    code, _, comments = run_cli(tmp_path, ["cdp", "--cdp_size", "64", "--mask_count", "12",
+                                           "--cdp_iters", "140", "--seed_list", "0"],
+                                table="errors.csv")
+    finals = " ".join(f"{method}={float(comments['final_' + method]):.4f}"
+                      for method in ("gd", "polyak", "nesterov"))
+    flags = " ".join(f"{key}={comments[key]}"
+                     for key in ("accelerated_below_gd", "none_diverged", "fft_parity"))
+    report(11, code == 0, f"rel err at 140: {finals}; {flags}", time.monotonic() - start, 120.0)

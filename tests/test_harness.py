@@ -222,16 +222,28 @@ class TestSlopes:
             harness.cmd_slopes(cfg)
 
     def test_rows_and_reference(self, tmp_path):
+        # every mean lies in its band, but n=24's (1.611) is below n=16's (1.662)
         out = tmp_path / "s.csv"
         cfg = ExperimentConfig(n_list=(16, 24, 32), seed_list=(0,), out=str(out))
-        code = harness.cmd_slopes(cfg)
+        assert harness.cmd_slopes(cfg) == 1
         lines = out.read_text().splitlines()
         assert lines[0] == "n,m,seeds,mean_slope,sqrt_log_n,ok"
-        assert len(lines) == 4
-        refs = [float(line.split(",")[4]) for line in lines[1:]]
+        refs = [float(line.split(",")[4]) for line in lines[1:4]]
         assert refs == [pytest.approx(math.sqrt(math.log(n))) for n in (16, 24, 32)]
-        assert all(math.isfinite(float(line.split(",")[3])) for line in lines[1:])
-        assert code in (0, 1)
+        assert all(line.endswith(",1") for line in lines[1:4])
+        assert lines[4:] == ["# every_seed_fit=1", "# means_monotone=0"]
+
+    def test_a_seed_without_slope_fails(self, tmp_path, monkeypatch):
+        def slope(cfg, n, m, seed):
+            return [], math.nan if seed == 1 else math.sqrt(math.log(n)), ()
+
+        monkeypatch.setattr(harness, "headtohead_slope", slope)
+        out = tmp_path / "s.csv"
+        cfg = ExperimentConfig(n_list=(16, 24, 32), seed_list=(0, 1), out=str(out))
+        assert harness.cmd_slopes(cfg) == 1
+        lines = out.read_text().splitlines()
+        assert all(line.endswith(",1") for line in lines[1:4])
+        assert lines[4:] == ["# every_seed_fit=0", "# means_monotone=1"]
 
 
 class TestSweep:
@@ -244,7 +256,8 @@ class TestSweep:
         assert harness.cmd_sweep(cfg) == 0
         lines = (out / "summary.csv").read_text().splitlines()
         assert lines[0] == "n,m,method,init,seeds,converged,diverged,median_iters"
-        assert len(lines) == 5
+        assert len(lines) == 6
+        assert lines[-1] == "# momentum_dominates=1"
         assert (out / "n10_m200_gd_spectral_s0.csv").exists()
         assert (out / "n10_m300_polyak_spectral_s1.csv").exists()
 
@@ -254,10 +267,22 @@ class TestSweep:
             n_list=(10,), m_list=(200,), seed_list=(0, 1, 2),
             methods=("gd", "polyak"), out=str(out),
         )
-        harness.cmd_sweep(cfg)
-        rows = (out / "summary.csv").read_text().splitlines()[1:]
-        medians = {row.split(",")[2]: float(row.split(",")[7]) for row in rows}
-        assert medians["polyak"] < medians["gd"]
+        assert harness.cmd_sweep(cfg) == 0
+        assert (out / "summary.csv").read_text().endswith("\n# momentum_dominates=1\n")
+
+    @pytest.mark.parametrize("argv, medians, code", [
+        # heavy ball far above GD; then both below GD, but not within 10%
+        (["--n_list", "10", "--m_list", "200", "--beta", "0.99"], ["577", "2828", "726"], 1),
+        (["--n_list", "10", "--m_list", "200", "--beta", "0.95"], ["577", "559", "345"], 1),
+        # at n=7 the default momentum clamps to 0: three GD runs, not judged
+        (["--n_list", "7", "--m_list", "100"], ["417"] * 3, 0),
+    ])
+    def test_dominance_rule(self, tmp_path, argv, medians, code):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--seed_list", "0", "--out", str(out)] + argv) == code
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[-1] for line in lines[1:4]] == medians
+        assert lines[4:] == [f"# momentum_dominates={1 - code}"]
 
 
 class TestWrappedCommands:
@@ -267,22 +292,24 @@ class TestWrappedCommands:
         assert harness.cmd_oracle(cfg) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "method,measured_ratio,bound,ok"
-        assert len(lines) == 4
-        measured = {l.split(",")[0]: float(l.split(",")[1]) for l in lines[1:]}
-        assert measured["gd"] == pytest.approx(0.99, abs=0.005)
-        assert measured["polyak"] <= 9 / 11 + 0.02
-        assert measured["nesterov"] <= 0.92
-        assert all(l.endswith(",1") for l in lines[1:])
+        assert float(lines[1].split(",")[1]) == pytest.approx(0.99, abs=0.005)
+        assert lines[4:] == ["# momentum_below_gd=1"]
+
+    def test_oracle_momentum_above_gd_fails(self, tmp_path, monkeypatch):
+        # within every bound, but heavy ball and Nesterov no faster than GD
+        monkeypatch.setattr(harness, "quadratic_oracle", lambda method: 0.5)
+        out = tmp_path / "oracle.csv"
+        assert harness.cmd_oracle(ExperimentConfig(out=str(out))) == 1
+        lines = out.read_text().splitlines()
+        assert all(line.endswith(",1") for line in lines[1:4])
+        assert lines[4:] == ["# momentum_below_gd=0"]
 
     def test_concentration(self, tmp_path):
         out = tmp_path / "conc.csv"
         cfg = ExperimentConfig(n_list=(100,), m_list=(1000,), seed_list=(0, 1),
                                out=str(out))
         assert harness.cmd_concentration(cfg) == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 3
-        assert all(l.split(",")[3] == "1" and l.split(",")[6] == "1"
-                   for l in lines[1:])
+        assert len(out.read_text().splitlines()) == 3
 
     def test_loo(self, tmp_path):
         out = tmp_path / "loo.csv"
@@ -323,8 +350,23 @@ class TestWrappedCommands:
         assert (out / "recovered_gd.pgm").exists()
         assert (out / "recovered_polyak.pgm").exists()
         assert any(l.startswith("# accelerated_below_gd=") for l in lines)
-        assert lines[-4:-2] == ["# status_gd=max_iters", "# status_polyak=max_iters"]
-        assert lines[-1] == "# none_diverged=1"
+        assert lines[-5:-3] == ["# status_gd=max_iters", "# status_polyak=max_iters"]
+        assert lines[-2:] == ["# none_diverged=1", "# fft_parity=1"]
+
+    def test_cdp_fft_parity_failure_exits_one(self, tmp_path, monkeypatch):
+        # a gradient that spends one transform more than 2 mask_count
+        original = cdp.cdp_gradient
+
+        def wasteful(z, y, masks):
+            cdp._forward(z, masks[:1])
+            return original(z, y, masks)
+
+        monkeypatch.setattr(cdp, "cdp_gradient", wasteful)
+        out = tmp_path / "cdp"
+        assert cli.main(["cdp", "--cdp_size", "8", "--mask_count", "3", "--cdp_iters", "5",
+                         "--out", str(out)]) == 1
+        lines = (out / "errors.csv").read_text().splitlines()
+        assert lines[-3:] == ["# accelerated_below_gd=1", "# none_diverged=1", "# fft_parity=0"]
 
 
 def reference_csv(header, rows, comments=()) -> str:
@@ -453,7 +495,7 @@ class TestSharedInstance:
             for trace in traces:
                 assert trace.read_bytes() == (both / trace.name).read_bytes()
             rows = (single / "summary.csv").read_text().splitlines()
-            assert rows[1:] == [row for row in summary[1:] if row.split(",")[2] == method]
+            assert rows[1:-1] == [row for row in summary[1:-1] if row.split(",")[2] == method]
 
     def test_cdp_starts_once(self, tmp_path, monkeypatch):
         calls = self.counting(monkeypatch, cdp, "cdp_spectral_init")
@@ -547,6 +589,12 @@ class TestCli:
         ])
         assert code == 2
         assert "missing_dir" in capsys.readouterr().err
+
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert cli.main(["run", "--config", str(missing)]) == 2
+        assert capsys.readouterr().err == (f"prbench: config: cannot read {missing}: [Errno 2] "
+                                           f"No such file or directory: '{missing}'\n")
 
     def test_oracle_via_cli(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -691,6 +739,10 @@ class TestCli:
         (["oracle", "--methods", "gd", "--seed_list", "0,1", "--n_list", "10,20"], "methods"),
         (["cdp", "--n_list", "10,20", "--m_list", "5,6"], "n_list"),
         (["run", "--method_a", "nesterov"], "method_a"),
+        # a flag given twice, `--config` included
+        (["run", "--n_list", "10", "--n_list", "20", "--m_list", "200"], "n_list"),
+        (["run", "--n_list", "10", "--m_list", "200", "--out", "a.csv"], "out"),
+        (["run", "--config", "two_seeds.cfg", "--config", "two_seeds.cfg"], "config"),
     ])
     def test_repeated_or_unread_value_exits_two(self, tmp_path, monkeypatch, capsys, argv,
                                                 key):
@@ -746,7 +798,7 @@ class TestCli:
         assert "# status_nesterov=diverged" in lines
         assert "# final_nesterov=inf" in lines
         assert "# accelerated_below_gd=1" in lines
-        assert lines[-1] == "# none_diverged=0"
+        assert lines[-2] == "# none_diverged=0"
 
     def test_out_of_range_graymap_exits_two(self, tmp_path, capsys):
         image = tmp_path / "hot.pgm"

@@ -111,12 +111,3 @@ class TestGroundTruth:
         x_star = random_ground_truth(6, 9)
         assert np.linalg.norm(x_star) == pytest.approx(1.0, abs=1e-12)
 
-
-def test_concentration_over_twenty_seeds():
-    # row-norm and fixed-probe projection bounds hold in 20/20 runs
-    for seed in range(20):
-        ens = sample_ensemble(1000, 100, seed)
-        probe = sample_unit_sphere(100, seed)
-        norms = np.linalg.norm(ens.rows, axis=1)
-        assert norms.max() <= math.sqrt(6 * 100)
-        assert np.abs(ens.rows @ probe).max() <= 5 * math.sqrt(math.log(100))
