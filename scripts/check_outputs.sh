@@ -5,19 +5,20 @@
 #   scripts/check_outputs.sh SRC OUT
 #   scripts/check_outputs.sh --digests OUT
 #
-# Each call runs in its own case directory with relative paths and one BLAS
-# thread, so two OUT directories, say one from a parent checkout and one from
-# a change, compare with `diff -r`.  Takes about 60 s on two cores.
+# Each call runs in its own case directory with relative paths, so two OUT
+# directories, say one from a parent checkout and one from a change, compare
+# with `diff -r`.  Takes about 60 s on two cores.
 #
 # --digests runs this script's own checkout into OUT, writes the SHA-256 of
 # every file under OUT to OUT/check_outputs.sha256, and diffs that against
 # scripts/check_outputs.sha256.  The committed file's first lines name the
-# environment its digests hold for: numpy, the OpenBLAS build, the core its
-# kernels were chosen for, and the BLAS thread count.  It exits 0 when every
-# digest matches and 1 when one differs.  Another environment may give other
-# last digits, so there it reports the mismatch, compares no digest and exits
-# 0.  A change that means to alter outputs copies OUT/check_outputs.sha256
-# over the committed file, whose diff then names the outputs that moved.
+# environment its digests hold for: numpy, the OpenBLAS build and the core its
+# kernels were chosen for (prbench runs OpenBLAS at one thread, whatever the
+# environment says).  It exits 0 when every digest matches and 1 when one
+# differs.  Another environment may give other last digits, so there it
+# reports the mismatch, compares no digest and exits 0.  A change that means to
+# alter outputs copies OUT/check_outputs.sha256 over the committed file, whose
+# diff then names the outputs that moved.
 set -euo pipefail
 
 digests=""
@@ -32,7 +33,7 @@ fi
 src=$(cd "$1" && pwd)
 mkdir -p "$2"
 out=$(cd "$2" && pwd)
-export OPENBLAS_NUM_THREADS=1 PYTHONPATH="$src/src"
+export PYTHONPATH="$src/src"
 
 case_() {
     local name=$1
@@ -129,26 +130,21 @@ import numpy as np
 blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
 
 
-def ask(restype, *names):
-    for name in names:
-        fn = getattr(blas, name, None)
+def ask(what):
+    """OpenBLAS's `get_<what>` string, under any of its four symbol names."""
+    for name in ("scipy_openblas_get_{}64_", "scipy_openblas_get_{}", "openblas_get_{}64_",
+                 "openblas_get_{}"):
+        fn = getattr(blas, name.format(what), None)
         if fn is not None:
-            fn.argtypes, fn.restype = (), restype
-            return fn()
+            fn.argtypes, fn.restype = (), ctypes.c_char_p
+            return fn().decode()
     return None
 
 
-config = ask(ctypes.c_char_p, "scipy_openblas_get_config64_", "scipy_openblas_get_config",
-             "openblas_get_config64_", "openblas_get_config")
-core = ask(ctypes.c_char_p, "scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-           "openblas_get_corename64_", "openblas_get_corename")
-threads = ask(ctypes.c_int, "scipy_openblas_get_num_threads64_",
-              "scipy_openblas_get_num_threads", "openblas_get_num_threads64_",
-              "openblas_get_num_threads")
+config, core = ask("config"), ask("corename")
 print(f"# numpy {np.__version__}")
-print(f"# BLAS {config.decode() if config else 'not OpenBLAS'}")
-print(f"# core {core.decode() if core else 'unknown'}")
-print(f"# BLAS threads {threads}")
+print(f"# BLAS {config or 'not OpenBLAS'}")
+print(f"# core {core or 'unknown'}")
 PY
     (cd "$out" && find . -type f ! -path ./check_outputs.sha256 -printf '%P\0' | LC_ALL=C sort -z \
         | xargs -0 sha256sum) >>"$out/check_outputs.sha256"

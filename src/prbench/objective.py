@@ -30,25 +30,26 @@ except (AttributeError, OSError):
     _BLAS = None
 
 
-def _core_to_spare() -> bool:
-    """Whether a second thread finds a core of its own: OpenBLAS runs one
-    thread and the process may use two cores or more.  At more BLAS threads
-    both parts would run OpenBLAS's threaded kernel at once, which made a
-    product near the floor up to 3.6 times as slow as one call."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return False
-    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
-        threads = getattr(_BLAS, name, None)
-        if threads is not None:
-            return threads() == 1 and cores >= 2
+def _pin_one_thread() -> bool:
+    """Set numpy's OpenBLAS to one thread for the whole process, so that no
+    product's bits depend on OPENBLAS_NUM_THREADS; whether it took.  A BLAS
+    without the setter is left as it is, and then no product splits."""
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, pin = (getattr(_BLAS, name.format(verb), None) for verb in ("get", "set"))
+        if get is not None and pin is not None:
+            pin(1)
+            return get() == 1
     return False
 
 
-# read once: OpenBLAS fixes its thread count when numpy loads it
-_SPLIT = _core_to_spare()
+# pinned at import, before the package's first BLAS call.  A split needs one
+# BLAS thread: with more, both parts ran OpenBLAS's threaded kernel at once,
+# up to 3.6 times as slow as one call.  And it needs a second usable core.
+try:
+    _SPLIT = _pin_one_thread() and len(os.sched_getaffinity(0)) >= 2
+except (AttributeError, OSError):  # no affinity call: the pin is made, no split
+    _SPLIT = False
 
 
 def _numpy_dgemv():
@@ -137,17 +138,16 @@ def _free_worker() -> _Worker:
 
 
 def project(rows, x, out=None) -> np.ndarray:
-    """`rows.dot(x, out=out)`, bit for bit at one BLAS thread.
+    """`rows.dot(x, out=out)`, bit for bit.
 
     From SPLIT_MIN_VALUES values of `rows` on, when OpenBLAS runs one
-    thread and a second core is free, a worker thread computes the rows
+    thread and a second core is usable, a worker thread computes the rows
     before a multiple of 16 near m/2 while the caller computes the rest.
-    At more BLAS threads every product is one call.  Each output is still
-    one dot product over n, and the split keeps every row in the BLAS
-    kernel's block it has in the whole product, so the bits are those of
-    one call.  numpy's BLAS call releases the GIL, so the parts run on two
-    cores.  An error in either part reaches the caller as numpy's own,
-    after the worker has finished.
+    Each output is still one dot product over n, and the split keeps every
+    row in the BLAS kernel's block it has in the whole product, so the
+    bits are those of one call.  numpy's BLAS call releases the GIL, so
+    the parts run on two cores.  An error in either part reaches the
+    caller as numpy's own, after the worker has finished.
     """
     if not _SPLIT or rows.size < SPLIT_MIN_VALUES or not _busy.acquire(blocking=False):
         return rows.dot(x, out=out)
@@ -177,7 +177,7 @@ def _gemv_fits(rows, w) -> bool:
 
 
 def project_t(rows, w) -> np.ndarray:
-    """`rows.T.dot(w)`, bit for bit at one BLAS thread.
+    """`rows.T.dot(w)`, bit for bit.
 
     From SPLIT_T_MIN_VALUES values of `rows` on, under `project`'s rule
     for a spare core, a worker thread computes the columns before a

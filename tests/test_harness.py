@@ -156,42 +156,30 @@ class TestHeadToHead:
         assert "slope_seed" not in text
 
     def test_output_across_blas_thread_counts(self, tmp_path):
-        # The bytes hold at a fixed BLAS thread count only: at n=128 and
-        # m=6211, one and two OpenBLAS threads sum the products in different
-        # orders (measured: 1.2e-11 relative at most).  The statuses and row
-        # counts must agree, and every value within rtol.
-        rtol = 1e-8
+        # importing prbench pins OpenBLAS to one thread, so the bytes do not
+        # depend on OPENBLAS_NUM_THREADS: unset, 1 and 2 give one file.  At
+        # n=128 and m=6211, one and two OpenBLAS threads sum the products in
+        # different orders, so without the pin the values would differ
         src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        tables = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"h{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        outputs = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}):
+            out = tmp_path / f"h{len(outputs)}.csv"
             proc = subprocess.run(
                 [sys.executable, "-m", "prbench.cli", "headtohead", "--n_list", "128",
                  "--seed_list", "0", "--out", str(out)],
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
-                capture_output=True, text=True, check=False,
+                env=dict(env, **threads), capture_output=True, text=True, check=False,
             )
             assert proc.returncode == 0, proc.stderr
-            lines = out.read_text().splitlines()
-            comments = [line for line in lines if line.startswith("#")]
-            data = [line.split(",") for line in lines[1:] if not line.startswith("#")]
-            tables.append((comments, np.array(data, dtype=float)))
-        (comments_1, data_1), (comments_2, data_2) = tables
-        status = "# seed_0: status_a=converged status_b=converged"
-        assert comments_1[0] == comments_2[0] == status
-        keys_1, slopes_1 = zip(*(c.split("=") for c in comments_1[1:]))
-        keys_2, slopes_2 = zip(*(c.split("=") for c in comments_2[1:]))
-        assert keys_1 == keys_2 == ("# slope_seed_0", "# mean_slope")
-        np.testing.assert_allclose(np.array(slopes_2, dtype=float),
-                                   np.array(slopes_1, dtype=float), rtol=rtol, atol=0)
-        assert data_1.shape == data_2.shape
-        assert np.array_equal(data_1[:, :2], data_2[:, :2])  # seed and iter
-        np.testing.assert_allclose(data_2[:, 2:], data_1[:, 2:], rtol=rtol, atol=0)
+            outputs.append(out.read_bytes())
+        assert b"# seed_0: status_a=converged status_b=converged\n" in outputs[0]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_split_products_keep_the_bytes(self, tmp_path):
-        # at one BLAS thread, the two-thread products of `objective.project`
-        # and `objective.project_t` give the bits of one call: the output
+        # the two-thread products of `objective.project` and
+        # `objective.project_t` give the bits of one call: the output
         # equals that of a run whose floors are out of reach, so that every
         # product is serial.  Both floors sit at `project`'s, which the
         # 6211 x 128 ensemble passes
@@ -206,8 +194,8 @@ class TestHeadToHead:
             proc = subprocess.run(
                 [sys.executable, "-c", code, str(floor), "headtohead", "--n_list", "128",
                  "--seed_list", "0", "--out", str(out)],
-                env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path),
-                capture_output=True, text=True, check=False,
+                env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                check=False,
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
@@ -244,6 +232,21 @@ class TestSlopes:
         lines = out.read_text().splitlines()
         assert all(line.endswith(",1") for line in lines[1:4])
         assert lines[4:] == ["# every_seed_fit=0", "# means_monotone=1"]
+
+    @pytest.mark.parametrize("factor, code", [(1.29, 0), (1.31, 1), (0.71, 0), (0.69, 1)])
+    def test_band_boundary(self, tmp_path, monkeypatch, factor, code):
+        # every seed's slope at factor * sqrt(log n): inside the 30% band,
+        # then just past it on either side
+        def slope(cfg, n, m, seed):
+            return [], factor * math.sqrt(math.log(n)), ()
+
+        monkeypatch.setattr(harness, "headtohead_slope", slope)
+        out = tmp_path / "s.csv"
+        cfg = ExperimentConfig(n_list=(16, 24, 32), seed_list=(0, 1), out=str(out))
+        assert harness.cmd_slopes(cfg) == code
+        lines = out.read_text().splitlines()
+        assert [line[-1] for line in lines[1:4]] == [str(1 - code)] * 3
+        assert lines[4:] == ["# every_seed_fit=1", "# means_monotone=1"]
 
 
 class TestSweep:
@@ -284,6 +287,19 @@ class TestSweep:
         assert [line.split(",")[-1] for line in lines[1:4]] == medians
         assert lines[4:] == [f"# momentum_dominates={1 - code}"]
 
+    @pytest.mark.parametrize("momentum, dominates", [
+        # two momentum medians within 10% of the larger pass, one past it fails
+        ((90, 81), True), ((90, 80.9), False), ((81, 90), True), ((80.9, 90), False),
+        # a momentum median must lie strictly below GD's
+        ((100, 91), False), ((91, 100), False),
+    ])
+    def test_dominance_boundary(self, momentum, dominates):
+        # hand-built `sweep_cell` rows at n=100, where both momentum methods
+        # run with beta > 0, and a GD median of 100
+        rows = [(100, 1000, method, "spectral", 5, 5, 0, median)
+                for method, median in zip(("gd", "polyak", "nesterov"), (100, *momentum))]
+        assert harness.momentum_dominates(ExperimentConfig(), rows) is dominates
+
 
 class TestWrappedCommands:
     def test_oracle(self, tmp_path):
@@ -303,6 +319,25 @@ class TestWrappedCommands:
         lines = out.read_text().splitlines()
         assert all(line.endswith(",1") for line in lines[1:4])
         assert lines[4:] == ["# momentum_below_gd=0"]
+
+    # each method's textbook rate at kappa = 100 plus its slack
+    ORACLE_BOUNDS = {"gd": 0.995, "polyak": 9 / 11 + 0.02, "nesterov": 0.92}
+
+    @pytest.mark.parametrize("over", [None, "gd", "polyak", "nesterov"])
+    def test_oracle_bound_boundary(self, tmp_path, monkeypatch, over):
+        # every ratio 1e-3 below its method's bound passes; one 1e-3 above
+        # fails that method's row and the command
+        def ratio(method):
+            return self.ORACLE_BOUNDS[method.value] + (1e-3 if method.value == over else -1e-3)
+
+        monkeypatch.setattr(harness, "quadratic_oracle", ratio)
+        out = tmp_path / "oracle.csv"
+        assert harness.cmd_oracle(ExperimentConfig(out=str(out))) == (over is not None)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:4]]
+        assert [row[0] for row in rows] == list(self.ORACLE_BOUNDS)
+        assert [float(row[2]) for row in rows] == pytest.approx(
+            list(self.ORACLE_BOUNDS.values()), abs=1e-12)
+        assert [row[3] for row in rows] == ["0" if row[0] == over else "1" for row in rows]
 
     def test_concentration(self, tmp_path):
         out = tmp_path / "conc.csv"

@@ -135,16 +135,14 @@ def test_extremes_match_dense(small_problem):
     assert lmax == pytest.approx(eigs[-1], rel=1e-10)
 
 
-def run_python(code, blas_threads=1):
-    """Run `code` in a fresh interpreter at `blas_threads` OpenBLAS threads;
-    at one, a product's bits do not depend on the machine.  Returns its
-    stdout."""
+def run_python(code, **env):
+    """Run `code` in a fresh interpreter, with `env` added to the
+    environment; returns its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(objective.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=path),
-        check=False,
+        env=dict(os.environ, PYTHONPATH=path, **env), check=False,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -236,19 +234,24 @@ print(sum(t.is_alive() for t in threads), len(wrong))
 """
         assert run_python(code).split() == ["0", "0"]
 
-    def test_no_split_at_more_blas_threads(self):
-        # both parts would run OpenBLAS's threaded kernel at once
+    def test_import_pins_one_blas_thread(self):
+        # at two OpenBLAS threads, importing prbench sets numpy's OpenBLAS
+        # to one, and the split then needs only a second usable core
         code = """
-import threading
+import ctypes, os
 import numpy as np
+blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+threads = next(getattr(blas, name) for name in (
+    "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_", "openblas_get_num_threads") if hasattr(blas, name))
+cores = len(os.sched_getaffinity(0))
+print(threads() == min(2, cores))
+import prbench
+pinned = threads()
 from prbench import objective
-rows, x = np.ones((4097, 128)), np.ones(128)
-objective.project(rows, x)
-m = objective.SPLIT_T_MIN_VALUES // 128
-objective.project_t(np.ones((m, 128)), np.ones(m))
-print(objective._SPLIT, any(t.name == "prbench-project" for t in threading.enumerate()))
+print(pinned, objective._SPLIT == (cores >= 2))
 """
-        assert run_python(code, blas_threads=2).split() == ["False", "False"]
+        assert run_python(code, OPENBLAS_NUM_THREADS="2").split() == ["True", "1", "True"]
 
     def test_interrupted_wait_starts_a_fresh_worker(self):
         # an interrupt that cuts the caller's wait leaves the worker to
@@ -301,8 +304,7 @@ for cut in (lambda: project(rows, x), lambda: project_t(rows, w)):
         assert np.array_equal(p, np.full(len(rows), 128.0))
         del rows, x
         assert [ref() is None for ref in refs] == [True, True]
-        # and after a transposed product; its sums of ones are exact at any
-        # BLAS thread count
+        # and after a transposed product, whose sums of ones are exact
         rows, w = np.ones((SPLIT_T_MIN_VALUES // 128, 128)), np.ones(SPLIT_T_MIN_VALUES // 128)
         refs = weakref.ref(rows), weakref.ref(w)
         g = project_t(rows, w)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from prbench import cli
 from prbench.model import SensingEnsemble
 from prbench.solvers import (
     Method,
@@ -270,6 +271,20 @@ class TestRun:
         assert trace.iters.shape[0] == 2
         assert trace.dist[1] == math.inf
         assert math.isfinite(trace.max_incoherence[1])
+
+    def test_divergence_cap(self, tmp_path):
+        # the cost crosses DIVERGENCE_CAP = 1e8 at iterate 2 (4.36e8), and the
+        # run stops there as diverged; each earlier cost lies below the cap
+        out = tmp_path / "t.csv"
+        assert cli.main(["run", "--n_list", "10", "--m_list", "60", "--seed_list", "0",
+                         "--methods", "gd", "--eta", "1.0", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[-1] == "# status=diverged"
+        iters, costs = zip(*((int(row[0]), float(row[2]))
+                             for row in (line.split(",") for line in lines[1:-1])))
+        assert iters == (0, 1, 2)
+        assert costs[-1] == pytest.approx(4.36e8, rel=1e-3)
+        assert max(costs[:-1]) <= 1e8
 
     def test_max_iters_status(self):
         ens, x_star, y, x0 = make_problem(8, 160, 1)
